@@ -37,7 +37,8 @@ from repro.core.zero_point_shift import (
     zero_point_shift_groups_reference,
 )
 from repro.eval.experiments import figure6_kl_divergence
-from repro.quant.bitflip import bitflip_tensor
+from repro.quant.bitflip import _bitflip_batch, _bitflip_batch_reference, bitflip_tensor
+from repro.quant.ptq import optimal_clip_scale, optimal_clip_scale_reference
 
 
 @pytest.fixture(scope="module")
@@ -79,30 +80,121 @@ def test_bench_zero_point_shift_reference(benchmark, weight_groups):
     assert values.shape == weight_groups.shape
 
 
+def interleaved_speedup(reference, fast, rounds: int = 3) -> float:
+    """Ratio of the fastest reference run to the fastest fast run.
+
+    Timings are interleaved (reference, fast, reference, fast, ...) so that a
+    load spike on a shared machine hits both sides alike.
+    """
+    reference_times, fast_times = [], []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        reference()
+        reference_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        fast()
+        fast_times.append(time.perf_counter() - start)
+    return min(reference_times) / min(fast_times)
+
+
 def test_zero_point_shift_speedup_over_reference(weight_groups):
     """Regression guard for the batched search (measured ~6x on this fixture).
 
-    Timings are interleaved (reference, fast, reference, fast, ...) and the
-    minimum of each is compared, so a load spike on a shared CI machine hits
-    both sides alike.  The assertion is a parity guard only — far below the
-    ~6x observed — because a wall-clock ratio can never be made fully
-    deterministic on shared runners; the real trajectory lives in
-    ``BENCH_kernels.json``.
+    The interleaved minima are compared.  The assertion is a parity guard
+    only — far below the ~6x observed — because a wall-clock ratio can never
+    be made fully deterministic on shared runners; the real trajectory lives
+    in ``BENCH_kernels.json``.
     """
-    reference_times, fast_times = [], []
-    for _ in range(3):
-        start = time.perf_counter()
-        zero_point_shift_groups_reference(weight_groups, 4)
-        reference_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        zero_point_shift_groups(weight_groups, 4)
-        fast_times.append(time.perf_counter() - start)
-    speedup = min(reference_times) / min(fast_times)
+    speedup = interleaved_speedup(
+        lambda: zero_point_shift_groups_reference(weight_groups, 4),
+        lambda: zero_point_shift_groups(weight_groups, 4),
+    )
     print(f"\nzero_point_shift_groups speedup over reference: {speedup:.1f}x")
     assert speedup >= 1.5
     for new, old in zip(
         zero_point_shift_groups(weight_groups, 4),
         zero_point_shift_groups_reference(weight_groups, 4),
+        strict=True,
+    ):
+        assert np.array_equal(new, old)
+
+
+@pytest.fixture(scope="module")
+def int8_layer() -> np.ndarray:
+    """A 128x768 per-channel INT8 layer, as the paper's requantization sees it."""
+    rng = np.random.default_rng(1)
+    weights = rng.normal(0, 1, (128, 768))
+    scales = np.abs(weights).max(axis=1, keepdims=True) / 127
+    return np.round(weights / scales)
+
+
+@pytest.fixture(scope="module")
+def float_layer() -> np.ndarray:
+    return np.random.default_rng(2).normal(0, 0.05, (64, 512))
+
+
+@pytest.fixture(scope="module")
+def bitflip_groups() -> np.ndarray:
+    rng = np.random.default_rng(3)
+    return np.clip(np.round(rng.normal(0, 24, (40_000, 32))), -128, 127).astype(np.int64)
+
+
+def clip_search_reference(rows: np.ndarray, bits: int) -> np.ndarray:
+    return np.array([optimal_clip_scale_reference(row, bits) for row in rows])
+
+
+@pytest.mark.parametrize("layer", ["int8_layer", "float_layer"])
+def test_bench_clip_search(benchmark, request, layer):
+    rows = request.getfixturevalue(layer)
+    scales = benchmark(optimal_clip_scale, rows, 4)
+    assert scales.shape == (rows.shape[0],)
+
+
+@pytest.mark.parametrize("layer", ["int8_layer", "float_layer"])
+def test_bench_clip_search_reference(benchmark, request, layer):
+    """The original one-channel candidate loop, kept on the record for trajectory."""
+    rows = request.getfixturevalue(layer)
+    scales = benchmark.pedantic(clip_search_reference, args=(rows, 4), rounds=2, iterations=1)
+    assert scales.shape == (rows.shape[0],)
+
+
+@pytest.mark.parametrize("layer", ["int8_layer", "float_layer"])
+def test_clip_search_speedup_over_reference(request, layer):
+    """Parity guard for the batched clip search (measured ~80x on the INT8
+    layer through the level histograms, ~6x on the float layer)."""
+    rows = request.getfixturevalue(layer)
+    speedup = interleaved_speedup(
+        lambda: clip_search_reference(rows, 4), lambda: optimal_clip_scale(rows, 4)
+    )
+    print(f"\noptimal_clip_scale speedup over reference ({layer}): {speedup:.1f}x")
+    assert speedup >= 1.5
+    assert np.array_equal(optimal_clip_scale(rows, 4), clip_search_reference(rows, 4))
+
+
+def test_bench_bitflip_batch(benchmark, bitflip_groups):
+    values, _, _ = benchmark(_bitflip_batch, bitflip_groups, 3, 8)
+    assert values.shape == bitflip_groups.shape
+
+
+def test_bench_bitflip_batch_reference(benchmark, bitflip_groups):
+    """The original bit-plane kernel, kept on the record for trajectory."""
+    values, _, _ = benchmark.pedantic(
+        _bitflip_batch_reference, args=(bitflip_groups, 3, 8), rounds=2, iterations=1
+    )
+    assert values.shape == bitflip_groups.shape
+
+
+def test_bitflip_batch_speedup_over_reference(bitflip_groups):
+    """Parity guard for the arithmetic bit-flip (measured ~10x)."""
+    speedup = interleaved_speedup(
+        lambda: _bitflip_batch_reference(bitflip_groups, 3, 8),
+        lambda: _bitflip_batch(bitflip_groups, 3, 8),
+    )
+    print(f"\n_bitflip_batch speedup over reference: {speedup:.1f}x")
+    assert speedup >= 1.5
+    for new, old in zip(
+        _bitflip_batch(bitflip_groups, 3, 8),
+        _bitflip_batch_reference(bitflip_groups, 3, 8),
         strict=True,
     ):
         assert np.array_equal(new, old)

@@ -23,7 +23,6 @@ import numpy as np
 
 from .area_power import PEDesign, bitwave_pe
 from .common import BitSerialAccelerator, GroupCycleStats
-from ..core.bitplane import to_sign_magnitude_planes
 from ..core.encoding import METADATA_BITS
 from ..nn.synthetic import LayerWeights
 from ..nn.workloads import GemmWorkload
@@ -72,33 +71,44 @@ class BitWaveAccelerator(BitSerialAccelerator):
             mask[np.argsort(-scores, kind="stable")[:count]] = True
         return mask
 
-    def _pruned_weights(self, layer: LayerWeights) -> np.ndarray:
-        result = bitflip_tensor(
+    def _pruned_groups(self, layer: LayerWeights) -> np.ndarray:
+        """Bit-flipped weights as ``(groups, pe_group_size)`` rows.
+
+        A channel shorter than one PE group is zero-padded to a full group;
+        otherwise a trailing partial group is left out.
+        """
+        pruned = bitflip_tensor(
             layer.int_weights,
             num_columns=self.pruned_columns,
             group_size=self.array.pe_group_size,
             bits=self.weight_bits,
             sensitive_channels=self._sensitive_mask(layer),
             keep_original=False,
-        )
-        return result.values
-
-    def _kept_columns_per_group(self, layer: LayerWeights) -> np.ndarray:
-        pruned = self._pruned_weights(layer)
+        ).values
         group = self.array.pe_group_size
         channels, reduction = pruned.shape
         usable = reduction - (reduction % group)
         if usable == 0:
             padded = np.zeros((channels, group), dtype=pruned.dtype)
             padded[:, :reduction] = pruned
-            groups = padded
-        else:
-            groups = pruned[:, :usable].reshape(-1, group)
+            return padded
+        return pruned[:, :usable].reshape(-1, group)
+
+    def _column_stats(self, layer: LayerWeights) -> tuple[np.ndarray, np.ndarray]:
+        """Kept sign-magnitude columns and one-bits per PE group.
+
+        The sign column is kept when any weight is negative; a magnitude
+        column is kept when any magnitude has that bit set, so the kept
+        magnitude columns are the set bits of the OR of the magnitudes.
+        """
+        groups = self._pruned_groups(layer)
         lo = -(1 << (self.weight_bits - 1))
         groups = np.where(groups == lo, lo + 1, groups)
-        planes = to_sign_magnitude_planes(groups, self.weight_bits)
-        kept = planes.any(axis=1).sum(axis=1)  # non-all-zero columns per group
-        return np.maximum(kept, 1).astype(np.int64)
+        magnitude = np.abs(groups)
+        negative = groups < 0
+        kept = negative.any(axis=1) + np.bitwise_count(np.bitwise_or.reduce(magnitude, axis=1))
+        ones = negative.sum(axis=1) + np.bitwise_count(magnitude).sum(axis=1, dtype=np.int64)
+        return np.maximum(kept, 1).astype(np.int64), ones
 
     def _group_partition(self, layer: LayerWeights) -> np.ndarray:
         """Scheduling-class label per PE group (sensitive vs pruned channels).
@@ -116,7 +126,7 @@ class BitWaveAccelerator(BitSerialAccelerator):
 
     # ----------------------------------------------------------------- hooks
     def group_cycle_stats(self, layer: LayerWeights) -> GroupCycleStats:
-        kept = self._kept_columns_per_group(layer)
+        kept, total_ones = self._column_stats(layer)
         cycles_per_column = self.array.pe_group_size / self.array.lanes_per_pe
         actual = kept.astype(np.float64) * cycles_per_column
         partition = self._group_partition(layer)
@@ -124,21 +134,12 @@ class BitWaveAccelerator(BitSerialAccelerator):
             partition = None
 
         # Lower bound: the one-bits actually present, spread over all lanes.
-        pruned = self._pruned_weights(layer)
-        group = self.array.pe_group_size
-        channels, reduction = pruned.shape
-        usable = reduction - (reduction % group)
-        view = pruned[:, :usable].reshape(-1, group) if usable else pruned[:, :group]
-        lo = -(1 << (self.weight_bits - 1))
-        view = np.where(view == lo, lo + 1, view)
-        planes = to_sign_magnitude_planes(view, self.weight_bits)
-        total_ones = planes.sum(axis=(1, 2))
         minimal = np.ceil(total_ones / self.array.lanes_per_pe).astype(np.float64)
         minimal = np.minimum(np.maximum(minimal, 1.0), actual)
         return GroupCycleStats(actual=actual, minimal=minimal, partition=partition)
 
     def stored_weight_bytes(self, workload: GemmWorkload, layer: LayerWeights) -> float:
-        kept = self._kept_columns_per_group(layer)
+        kept, _ = self._column_stats(layer)
         group = self.array.pe_group_size
         bits_per_group = kept.astype(np.float64) * group + METADATA_BITS
         mean_bits_per_weight = float(bits_per_group.mean()) / group

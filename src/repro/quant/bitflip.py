@@ -23,6 +23,7 @@ import numpy as np
 
 from ..core.bitplane import (
     from_sign_magnitude_planes,
+    int_range,
     to_sign_magnitude_planes,
 )
 from ..core.encoding import group_storage_bits
@@ -52,15 +53,11 @@ class BitFlipResult(ReconstructionMetricsMixin):
         were dropped; we charge the same 8 bits per compressed group as BBS so
         the footprint comparison is apples-to-apples.
         """
-        total = 0
         channels, num_groups = self.inherent_zero_columns.shape
-        for channel in range(channels):
-            for _group in range(num_groups):
-                if self.pruned_channel_mask[channel]:
-                    total += group_storage_bits(self.group_size, self.num_columns, self.bits)
-                else:
-                    total += self.group_size * self.bits
-        return total
+        pruned = int(np.count_nonzero(self.pruned_channel_mask))
+        compressed = group_storage_bits(self.group_size, self.num_columns, self.bits)
+        dense = self.group_size * self.bits
+        return num_groups * (pruned * compressed + (channels - pruned) * dense)
 
     def effective_bits(self) -> float:
         channels, num_groups = self.inherent_zero_columns.shape
@@ -86,19 +83,52 @@ def bitflip_group(group: np.ndarray, num_columns: int, bits: int = 8) -> tuple[n
     group = np.asarray(group).astype(np.int64)
     if group.ndim != 1:
         raise ValueError(f"expected a 1-D group, got shape {group.shape}")
+    _check_num_columns(num_columns, bits)
+    values, inherent, forced = _bitflip_batch(group[None, :], num_columns, bits)
+    return values[0], int(inherent[0]), int(forced[0])
+
+
+def _check_num_columns(num_columns: int, bits: int) -> None:
+    """Only magnitude columns can be pruned: the sign column always stays."""
     if num_columns < 0 or num_columns > bits - 1:
         raise ValueError(
             f"num_columns must be in [0, {bits - 1}] for sign-magnitude pruning, "
             f"got {num_columns}"
         )
-    values, inherent, forced = _bitflip_batch(group[None, :], num_columns, bits)
-    return values[0], int(inherent[0]), int(forced[0])
 
 
 def _bitflip_batch(
     groups: np.ndarray, num_columns: int, bits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized zero-column pruning over ``(num_groups, group_size)`` groups."""
+    """Vectorized zero-column pruning over ``(num_groups, group_size)`` groups.
+
+    Works on magnitudes directly: a group's inherent zero columns are the
+    leading zero bits of the OR of its magnitudes, and flipping the
+    ``forced`` least significant magnitude columns to zero is a right then
+    left shift.  Bit-identical to :func:`_bitflip_batch_reference`.
+    """
+    groups = np.asarray(groups, dtype=np.int64)
+    lo, hi = int_range(bits)
+    if groups.size and (groups.min() < lo or groups.max() > hi):
+        raise ValueError(f"values outside the {bits}-bit range [{lo}, {hi}]")
+    groups = np.where(groups == lo, lo + 1, groups)  # -128 has no sign-magnitude form
+    magnitude = np.abs(groups)
+    # bit_length of each group's OR: how many powers of two 1, 2, 4, ... it reaches.
+    used = np.bitwise_or.reduce(magnitude, axis=1, initial=0)
+    powers = np.left_shift(1, np.arange(bits - 1, dtype=np.int64))
+    inherent_run = (bits - 1) - np.searchsorted(powers, used, side="right")
+    inherent = np.minimum(inherent_run, num_columns).astype(np.int64)
+    forced = (num_columns - inherent).astype(np.int64)
+    shift = forced[:, None]
+    pruned = (magnitude >> shift) << shift
+    values = np.where(groups < 0, -pruned, pruned)
+    return values, inherent, forced
+
+
+def _bitflip_batch_reference(
+    groups: np.ndarray, num_columns: int, bits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bit-plane implementation: the oracle :func:`_bitflip_batch` matches."""
     lo = -(1 << (bits - 1))
     groups = np.where(groups == lo, lo + 1, groups)  # -128 has no sign-magnitude form
     planes = to_sign_magnitude_planes(groups, bits)  # (G, N, bits), col 0 = sign
@@ -140,6 +170,7 @@ def bitflip_tensor(
         raise ValueError(f"expected (channels, reduction), got {weights.shape}")
     if not np.issubdtype(weights.dtype, np.integer):
         raise TypeError("bit-flip pruning operates on integer (quantized) weights")
+    _check_num_columns(num_columns, bits)
 
     grouped = group_weights(weights, group_size)
     channels, num_groups, _ = grouped.groups.shape

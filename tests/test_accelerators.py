@@ -138,6 +138,18 @@ class TestCycleModels:
             < cons.group_cycle_stats(layer).actual.mean()
         )
 
+    def test_bitwave_column_stats_match_sign_magnitude_planes(self, small_resnet_weights):
+        from repro.core.bitplane import to_sign_magnitude_planes
+
+        accel = BitWaveAccelerator(array=SMALL_ARRAY)
+        for name in ("conv1", "layer2.conv2"):
+            layer = small_resnet_weights[name]
+            kept, ones = accel._column_stats(layer)
+            groups = accel._pruned_groups(layer)
+            planes = to_sign_magnitude_planes(np.maximum(groups, -127), 8)
+            assert np.array_equal(kept, np.maximum(planes.any(axis=1).sum(axis=1), 1))
+            assert np.array_equal(ones, planes.sum(axis=(1, 2)))
+
     def test_ant_uniform_six_bit(self, small_resnet_weights):
         layer = small_resnet_weights["layer2.conv2"]
         stats = AntAccelerator(array=SMALL_ARRAY).group_cycle_stats(layer)

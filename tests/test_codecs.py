@@ -134,6 +134,20 @@ class TestCodecInvariants:
         assert remote == local
 
 
+class TestBitflipCodec:
+    @pytest.mark.parametrize("num_columns", [8, -1])
+    def test_out_of_range_column_count_is_rejected(self, num_columns):
+        # Pruning 8 columns of an 8-bit word used to zero the whole tensor.
+        with pytest.raises(ValueError, match="num_columns must be in"):
+            run_codec("bitflip", int8_tensor(), {"num_columns": num_columns})
+
+    def test_largest_column_count_still_stores_the_sign_column(self):
+        tensor = int8_tensor()
+        result = run_codec("bitflip", tensor, {"num_columns": 7})
+        # Every group keeps its sign column (1 bit per weight) + 8 metadata bits.
+        assert result.storage_bits == tensor.size // 32 * (32 + 8)
+
+
 class TestSharedMetricsMixin:
     """The deduplicated scalar surface of the legacy result dataclasses."""
 

@@ -1,11 +1,12 @@
-"""Golden-equivalence tests for the performance work of PR 2.
+"""Golden-equivalence tests for the optimized kernels and the artifact memo.
 
-The batched zero-point search and the artifact memo are pure optimizations:
-they must return *bit-identical* results to the original implementations.
-These tests pin that property across random shapes, pruning budgets, word
-widths, and degenerate inputs, using the kept reference implementation
-(:func:`repro.core.zero_point_shift.zero_point_shift_groups_reference`) as
-the oracle.
+The batched zero-point search, the batched clip search, the arithmetic
+bit-flip and the artifact memo are pure optimizations: they must return
+*bit-identical* results to the original implementations.  These tests pin
+that property across random shapes, pruning budgets, word widths, and
+degenerate inputs, using the kept reference implementations
+(``zero_point_shift_groups_reference``, ``optimal_clip_scale_reference`` and
+``_bitflip_batch_reference``) as the oracles.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from repro.core.zero_point_shift import (
 )
 from repro.nn.model_zoo import get_model
 from repro.nn.synthetic import synthesize_model
+from repro.quant.bitflip import _bitflip_batch, _bitflip_batch_reference
+from repro.quant.ptq import optimal_clip_scale, optimal_clip_scale_reference
 
 
 def assert_search_matches(groups: np.ndarray, num_columns: int, bits: int = 8) -> None:
@@ -119,6 +122,222 @@ class TestZeroPointShiftEquivalence:
             np.round(rng.normal(0, 24, (9000, 32))), -128, 127
         ).astype(np.int64)
         assert_search_matches(groups, 4)
+
+
+def assert_clip_search_matches(rows: np.ndarray, bits: int, num_candidates: int = 100) -> None:
+    reference = np.array(
+        [optimal_clip_scale_reference(row, bits, num_candidates) for row in rows]
+    )
+    fast = optimal_clip_scale(rows, bits, num_candidates)
+    assert fast.dtype == reference.dtype == np.float64
+    assert np.array_equal(fast, reference), "batched clip search diverged"
+    # A single channel still gives a Python float, equal to its row's scale.
+    if len(rows):
+        single = optimal_clip_scale(rows[0], bits, num_candidates)
+        assert type(single) is float
+        assert single == reference[0]
+
+
+@st.composite
+def integer_rows(draw) -> np.ndarray:
+    """Integer-valued rows, from few levels (histogram search) to many (dense)."""
+    num_rows = draw(st.integers(1, 6))
+    length = draw(st.integers(1, 64))
+    magnitude = draw(st.integers(0, 160))
+    flat = draw(
+        st.lists(
+            st.integers(-magnitude, magnitude),
+            min_size=num_rows * length,
+            max_size=num_rows * length,
+        )
+    )
+    return np.array(flat, dtype=np.float64).reshape(num_rows, length)
+
+
+class TestClipSearchEquivalence:
+    @given(integer_rows(), st.integers(2, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_property_integer_rows_bit_identical(self, rows, bits):
+        assert_clip_search_matches(rows, bits)
+
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 48),
+        st.floats(1e-3, 1e3),
+        st.integers(2, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_float_rows_bit_identical(self, num_rows, length, sigma, bits, seed):
+        rows = np.random.default_rng(seed).normal(0.0, sigma, (num_rows, length))
+        assert_clip_search_matches(rows, bits)
+
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(1, 120))
+    @settings(max_examples=40, deadline=None)
+    def test_property_int8_layers_and_candidate_counts(self, bits, seed, num_candidates):
+        # Requantized INT8 rows: the shape the paper experiments search.
+        rng = np.random.default_rng(seed)
+        rows = np.clip(np.round(rng.normal(0, rng.uniform(1, 60), (8, 96))), -128, 127)
+        assert_clip_search_matches(rows, bits, num_candidates)
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_degenerate_rows(self, bits):
+        edge = 1 << (bits - 1)
+        rows = np.array(
+            [
+                [0.0] * 6,
+                [3.0] * 6,
+                [-2.5] * 6,
+                [edge, -edge, 0, 0, 0, 0],
+                [-edge] * 6,
+                [edge - 1, -edge, 1, -1, 0, 0],
+                [1e-3, 0, 0, 0, 0, 0],
+            ]
+        )
+        assert_clip_search_matches(rows, bits)
+        assert_clip_search_matches(rows[:, :1], bits)  # N = 1
+        assert_clip_search_matches(np.empty((2, 0)), bits)  # empty rows
+        assert_clip_search_matches(np.empty((0, 4)), bits)  # no rows
+
+    @pytest.mark.parametrize("rows", [[[-2.0, 0, 0, 0, 0]], [[-2.0, 0]]])
+    def test_tied_candidates_keep_the_first(self, rows):
+        # At 2 bits with 9 candidates, fractions 0.5 and 1.0 both reconstruct
+        # -2 exactly: the earlier (smaller) scale must win, on the histogram
+        # path (5 elements) and on the dense path (2 elements).
+        rows = np.array(rows)
+        all_mse = [
+            float(np.mean((np.clip(np.round(rows[0] / s), -2, 1) * s - rows[0]) ** 2))
+            for s in np.linspace(0.2, 1.0, 9) * 2.0
+        ]
+        assert all_mse.count(min(all_mse)) == 2
+        assert_clip_search_matches(rows, 2, num_candidates=9)
+        assert optimal_clip_scale(rows[0], 2, 9) == 1.0
+
+    # Rows whose best candidates' MSEs differ only in the last bits, found by
+    # searching random small-integer rows.  On the first three, the lowest
+    # histogram score is not the reference's winner, so the rounding bound
+    # must keep the winner; on the last three (half-integers, dense path), a
+    # sequential sum instead of the reference's pairwise one picks another
+    # candidate.
+    NEAR_TIES = [
+        (2, 59, [0, -2, 1, 0, 2, 1, 2, -3, -1, -2, -1, -2, -2, 2, -1, 3, -2, 1, -2, -2, 3,
+                 -2, -3, 0, -3, -1, 3, -3, 3, 2], 1.0),
+        (3, 27, [-1, 0, -1, 0, 1, -2, 0, 2, 2, 2, -2, 2, -1, 2, 1, 1, 2, 1, 1, -1, 0, 0, -2,
+                 -1, 2, 0, -1, -2, 1, 0, 1, -1, 2, -2, -2], 1.0),
+        (2, 28, [-2, 4, -1, 0, -3, -1, 4, 1, -1, -4, 1, 0, -3, -1, -2, -4, 1, 1, 2, 1], 1.0),
+        (3, 30, [0, 3, -3, -4, 4, 1, 4, -5, 6, 4, 4, -5, 2, 1, -4, 5, 4, 4, 3, -4, 3, -1, 3,
+                 1, 4, 0, -3, 2, 2, -3, 0], 0.5),
+        (2, 74, [-5, -5, -5, -3, 0, 5, -6, -5, 4, -1, -2, 5, -3, 5, 1, -4, 6, 5, -3, 2, -4,
+                 -4, -2, -2, 4, -3, 6, 2, -4, -5, -6, 6, -3, -2, -2, 3, 3, 3, 2, 4, 3, -4,
+                 -1], 0.5),
+        (2, 58, [-3, -1, -5, 5, 6, -4, 5, -3, -3, -2, 2, -4, -6], 0.5),
+    ]
+
+    @pytest.mark.parametrize("bits, num_candidates, row, unit", NEAR_TIES)
+    def test_rounding_near_ties(self, bits, num_candidates, row, unit):
+        assert_clip_search_matches(np.array([row]) * unit, bits, num_candidates)
+
+    def test_candidate_counts_zero_and_one(self):
+        rows = np.array([[5.0, -3.0, 1.0, 0.0], [0.25, -0.5, 0.0, 0.0]])
+        for num_candidates in (0, 1, 2):
+            assert_clip_search_matches(rows, 4, num_candidates)
+
+    def test_long_rows_chunk_over_candidates(self):
+        # Rows longer than one scratch block split the candidates as well;
+        # 70k elements also take numpy's recursive pairwise summation.
+        rng = np.random.default_rng(5)
+        floats = rng.normal(0, 1, (1, 70_000))
+        ints = np.clip(np.round(rng.normal(0, 30, (1, 70_000))), -128, 127)
+        for rows in (floats, ints):
+            assert_clip_search_matches(rows, 4, num_candidates=12)
+
+    def test_non_finite_rows_match_the_loop(self):
+        rows = np.array([[1.0, np.nan, 2.0], [1.0, np.inf, 0.0], [1.0, -np.inf, np.nan]])
+        with np.errstate(invalid="ignore"):
+            fast = optimal_clip_scale(rows, 4)
+            reference = [optimal_clip_scale_reference(row, 4) for row in rows]
+        assert np.array_equal(fast, reference, equal_nan=True)
+
+    def test_calibrated_quantizers_unchanged(self):
+        from repro.quant.ptq import (
+            quantize_per_channel,
+            quantize_per_tensor,
+            requantize_to_lower_bits,
+        )
+
+        rng = np.random.default_rng(11)
+        weights = rng.normal(0, 0.05, (24, 80))
+        per_channel = quantize_per_channel(weights, 4, calibrate=True)
+        expected = [optimal_clip_scale_reference(row, 4) for row in weights]
+        assert np.array_equal(per_channel.scales, expected)
+        per_tensor = quantize_per_tensor(weights, 4, calibrate=True)
+        assert per_tensor.scales[0] == optimal_clip_scale_reference(weights.ravel(), 4)
+
+        int8 = quantize_per_channel(weights, 8)
+        sensitive = rng.random(24) < 0.25
+        lower = requantize_to_lower_bits(int8, 5, sensitive_channels=sensitive)
+        for channel, row in enumerate(int8.values):
+            if sensitive[channel]:
+                assert np.array_equal(lower.values[channel], row)
+                continue
+            step = optimal_clip_scale_reference(row.astype(np.float64), 5)
+            codes = np.clip(np.round(row / step), -16, 15)
+            expected_row = np.clip(np.round(codes * step), -128, 127).astype(np.int64)
+            assert np.array_equal(lower.values[channel], expected_row)
+
+
+def assert_bitflip_matches(groups: np.ndarray, num_columns: int, bits: int) -> None:
+    reference = _bitflip_batch_reference(groups, num_columns, bits)
+    fast = _bitflip_batch(groups, num_columns, bits)
+    for name, ref, new in zip(("values", "inherent", "forced"), reference, fast, strict=True):
+        assert new.dtype == ref.dtype, name
+        assert np.array_equal(new, ref), f"{name} diverged from the reference"
+
+
+class TestBitflipEquivalence:
+    @given(st.data(), st.integers(2, 8), st.integers(1, 12), st.integers(1, 24))
+    @settings(max_examples=150, deadline=None)
+    def test_property_bit_identical_word_widths(self, data, bits, num_groups, group_size):
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        num_columns = data.draw(st.integers(0, bits - 1))
+        flat = data.draw(
+            st.lists(
+                st.integers(lo, hi),
+                min_size=num_groups * group_size,
+                max_size=num_groups * group_size,
+            )
+        )
+        groups = np.array(flat, dtype=np.int64).reshape(num_groups, group_size)
+        assert_bitflip_matches(groups, num_columns, bits)
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_most_negative_code_every_column_count(self, bits):
+        lo = -(1 << (bits - 1))
+        groups = np.array(
+            [
+                [lo] * 4,
+                [lo, 0, 0, 0],
+                [lo, -lo - 1, 1, -1],
+                [0, 0, 0, 0],
+                [1, -1, 0, 1],
+            ],
+            dtype=np.int64,
+        )
+        for num_columns in range(bits):
+            assert_bitflip_matches(groups, num_columns, bits)
+
+    def test_gaussian_layer_bit_identical(self):
+        rng = np.random.default_rng(9)
+        groups = np.clip(np.round(rng.normal(0, 24, (4096, 32))), -128, 127).astype(np.int64)
+        for num_columns in range(8):
+            assert_bitflip_matches(groups, num_columns, 8)
+
+    def test_out_of_range_values_rejected(self):
+        groups = np.array([[300, 1]], dtype=np.int64)
+        with pytest.raises(ValueError):
+            _bitflip_batch_reference(groups, 2, 8)
+        with pytest.raises(ValueError):
+            _bitflip_batch(groups, 2, 8)
 
 
 class TestMemoizedCompressionEquivalence:

@@ -67,6 +67,30 @@ class TestBitFlip:
         with pytest.raises(ValueError):
             bitflip_group(np.zeros(8, dtype=np.int64), 8)
 
+    @pytest.mark.parametrize("num_columns", [-1, 8, 9])
+    def test_tensor_rejects_out_of_range_column_count(self, int8_matrix, num_columns):
+        # Pruning the sign column (or a negative count) is not sign-magnitude
+        # bit-flip; the tensor entry point rejects it like the group one.
+        with pytest.raises(ValueError, match=r"num_columns must be in \[0, 7\]"):
+            bitflip_tensor(int8_matrix, num_columns)
+        with pytest.raises(ValueError, match=r"num_columns must be in \[0, 3\]"):
+            bitflip_tensor(np.clip(int8_matrix, -8, 7), 4, bits=4)
+
+    def test_storage_bits_counts_every_group(self, int8_matrix):
+        from repro.core.encoding import group_storage_bits
+
+        sensitive = np.zeros(int8_matrix.shape[0], dtype=bool)
+        sensitive[::5] = True
+        for num_columns in (0, 3, 7):
+            result = bitflip_tensor(int8_matrix, num_columns, sensitive_channels=sensitive)
+            channels, num_groups = result.inherent_zero_columns.shape
+            expected = sum(
+                32 * 8 if sensitive[channel] else group_storage_bits(32, num_columns, 8)
+                for channel in range(channels)
+                for _ in range(num_groups)
+            )
+            assert result.storage_bits() == expected
+
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             bitflip_tensor(np.zeros((2, 32)), 2)
