@@ -31,6 +31,7 @@ from repro.core import (
     prune_tensor,
     sparsity_report,
 )
+from repro.core.bitplane import column_ones, to_bitplanes
 from repro.core.rounded_average import rounded_average_groups
 from repro.core.zero_point_shift import (
     zero_point_shift_groups,
@@ -198,6 +199,41 @@ def test_bitflip_batch_speedup_over_reference(bitflip_groups):
         strict=True,
     ):
         assert np.array_equal(new, old)
+
+
+@pytest.fixture(scope="module")
+def column_vectors() -> np.ndarray:
+    """80k INT8 vectors of 16 weights: one BitVert PE group each."""
+    rng = np.random.default_rng(4)
+    return np.clip(np.round(rng.normal(0, 24, (80_000, 16))), -128, 127).astype(np.int64)
+
+
+def column_ones_reference(values: np.ndarray, bits: int) -> np.ndarray:
+    return to_bitplanes(values, bits).sum(axis=-2)
+
+
+def test_bench_column_ones(benchmark, column_vectors):
+    ones = benchmark(column_ones, column_vectors, 8)
+    assert ones.shape == (column_vectors.shape[0], 8)
+
+
+def test_bench_column_ones_reference(benchmark, column_vectors):
+    """The bit-plane sum the accelerator models used before, kept for trajectory."""
+    ones = benchmark.pedantic(
+        column_ones_reference, args=(column_vectors, 8), rounds=2, iterations=1
+    )
+    assert ones.shape == (column_vectors.shape[0], 8)
+
+
+def test_column_ones_speedup_over_reference(column_vectors):
+    """Parity guard for the popcount column counts (measured ~20x)."""
+    speedup = interleaved_speedup(
+        lambda: column_ones_reference(column_vectors, 8),
+        lambda: column_ones(column_vectors, 8),
+    )
+    print(f"\ncolumn_ones speedup over the plane sum: {speedup:.1f}x")
+    assert speedup >= 1.5
+    assert np.array_equal(column_ones(column_vectors, 8), column_ones_reference(column_vectors, 8))
 
 
 def test_bench_prune_tensor_moderate(benchmark, weight_matrix):

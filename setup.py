@@ -22,7 +22,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    # numpy 2.0 added np.bitwise_count, which the bit-statistics kernels use.
+    install_requires=["numpy>=2.0"],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },

@@ -14,7 +14,7 @@ import numpy as np
 
 from .area_power import PEDesign, bitlet_pe
 from .common import BitSerialAccelerator, GroupCycleStats
-from ..core.bitplane import to_bitplanes
+from ..core.bitplane import column_ones
 from ..nn.synthetic import LayerWeights
 
 __all__ = ["BitletAccelerator"]
@@ -36,8 +36,7 @@ class BitletAccelerator(BitSerialAccelerator):
         groups = self.layer_groups(layer)
         lanes = self.array.lanes_per_pe
 
-        planes = to_bitplanes(groups, self.weight_bits)  # (G, group, bits)
-        ones_per_significance = planes.sum(axis=1)  # (G, bits)
+        ones_per_significance = column_ones(groups, self.weight_bits)  # (G, bits)
         # One lane per significance: the group drains when the most populated
         # significance has been fully absorbed.
         actual = ones_per_significance.max(axis=1).astype(np.float64)

@@ -25,7 +25,7 @@ import numpy as np
 from ..area_power import PEDesign, bitvert_pe
 from ..common import BitSerialAccelerator, GroupCycleStats, ModelPerformance
 from ...core.binary_pruning import PrunedTensor, prune_tensor
-from ...core.bitplane import to_bitplanes
+from ...core.bitplane import column_ones
 from ...core.encoding import METADATA_BITS
 from ...core.global_pruning import (
     MODERATE_PRESET,
@@ -149,11 +149,11 @@ class BitVertAccelerator(BitSerialAccelerator):
             groups = padded
         else:
             groups = weights[:, :usable].reshape(-1, pe_group)
-        planes = to_bitplanes(groups.astype(np.int64), self.weight_bits)
         num_groups = groups.shape[0]
         sub_groups = pe_group // self.sub_group
-        per_sub = planes.reshape(num_groups, sub_groups, self.sub_group, self.weight_bits)
-        ones = per_sub.sum(axis=2)
+        ones = column_ones(
+            groups.reshape(num_groups, sub_groups, self.sub_group), self.weight_bits
+        )
         minority = np.minimum(ones, self.sub_group - ones)
         effectual = minority.sum(axis=(1, 2))
         minimal = np.ceil(effectual / lanes)

@@ -58,6 +58,9 @@ class BitWaveAccelerator(BitSerialAccelerator):
         self.pruned_columns = pruned_columns
         self.sensitive_fraction = sensitive_fraction
         self.weight_bits = weight_bits
+        # ``run_layer`` asks for the column stats of the same layer twice
+        # (cycles, then stored bytes): keep the last result.
+        self._last_column_stats: tuple | None = None
 
     def pe_design(self) -> PEDesign:
         return bitwave_pe()
@@ -101,6 +104,15 @@ class BitWaveAccelerator(BitSerialAccelerator):
         column is kept when any magnitude has that bit set, so the kept
         magnitude columns are the set bits of the OR of the magnitudes.
         """
+        config = (
+            self.pruned_columns,
+            self.sensitive_fraction,
+            self.weight_bits,
+            self.array.pe_group_size,
+        )
+        last = self._last_column_stats
+        if last is not None and last[0] is layer and last[1] == config:
+            return last[2]
         groups = self._pruned_groups(layer)
         lo = -(1 << (self.weight_bits - 1))
         groups = np.where(groups == lo, lo + 1, groups)
@@ -108,7 +120,9 @@ class BitWaveAccelerator(BitSerialAccelerator):
         negative = groups < 0
         kept = negative.any(axis=1) + np.bitwise_count(np.bitwise_or.reduce(magnitude, axis=1))
         ones = negative.sum(axis=1) + np.bitwise_count(magnitude).sum(axis=1, dtype=np.int64)
-        return np.maximum(kept, 1).astype(np.int64), ones
+        stats = np.maximum(kept, 1).astype(np.int64), ones
+        self._last_column_stats = (layer, config, stats)
+        return stats
 
     def _group_partition(self, layer: LayerWeights) -> np.ndarray:
         """Scheduling-class label per PE group (sensitive vs pruned channels).

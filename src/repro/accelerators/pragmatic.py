@@ -15,7 +15,7 @@ import numpy as np
 
 from .area_power import PEDesign, pragmatic_pe
 from .common import BitSerialAccelerator, GroupCycleStats
-from ..core.bitplane import to_bitplanes
+from ..core.bitplane import unsigned_codes
 from ..nn.synthetic import LayerWeights
 
 __all__ = ["PragmaticAccelerator"]
@@ -39,8 +39,8 @@ class PragmaticAccelerator(BitSerialAccelerator):
         group_size = self.array.pe_group_size
         weights_per_lane = max(1, group_size // lanes)
 
-        planes = to_bitplanes(groups, self.weight_bits)  # (G, group, bits)
-        ones_per_weight = planes.sum(axis=2)  # (G, group)
+        # One-bits of every weight's two's-complement code: (G, group).
+        ones_per_weight = np.bitwise_count(unsigned_codes(groups, self.weight_bits))
         # Each lane serially handles `weights_per_lane` weights of the group;
         # the PE finishes when its busiest lane does.
         lane_view = ones_per_weight[:, : lanes * weights_per_lane].reshape(

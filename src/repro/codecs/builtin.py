@@ -31,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.bitplane import to_bitplanes
+from ..core.bitplane import redundant_columns
 from ..core.encoding import (
     MAX_REDUNDANT_COLUMNS,
     METADATA_BITS,
@@ -331,15 +331,11 @@ class BitplaneCodec(Codec):
         codes, scales = _per_channel_codes(tensor, bits)
         grouped = group_weights(codes, group_size)
 
-        # (channels, groups, group_size, bits) bit planes, MSB first.  A
-        # column is redundant when it matches the sign column for every group
-        # member; the droppable run is contiguous from the column after the
-        # sign bit and capped by the 2-bit metadata field (never the LSB).
-        planes = to_bitplanes(grouped.groups, bits)
-        sign = planes[..., :1]
-        matches_sign = np.all(planes[..., 1:] == sign, axis=2)  # (C, G, bits-1)
-        run = np.cumprod(matches_sign[..., : bits - 2], axis=-1).sum(axis=-1)
-        redundant = np.minimum(run, MAX_REDUNDANT_COLUMNS).astype(np.int64)
+        # Redundant sign-extension columns per (channel, group), capped by the
+        # 2-bit metadata field.
+        redundant = np.minimum(
+            redundant_columns(grouped.groups, bits), MAX_REDUNDANT_COLUMNS
+        )
 
         per_group = np.where(
             redundant > 0,

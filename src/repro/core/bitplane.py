@@ -6,7 +6,10 @@ The BBS paper reasons about DNN weights at the granularity of individual
 This module provides the conversion between integer tensors and their
 bit-plane representation, for both two's-complement and sign-magnitude
 binary formats, plus the "redundant column" analysis used by binary pruning
-(Section III-B of the paper).
+(Section III-B of the paper).  Code that only *counts* bits uses the
+plane-free kernels :func:`column_ones` and :func:`redundant_columns`, which
+return exactly what the plane-based definitions do without materializing
+``(..., N, bits)`` arrays.
 
 All functions operate on numpy integer arrays and are fully vectorized.
 The bit-plane layout convention used throughout the package is::
@@ -27,6 +30,9 @@ import numpy as np
 __all__ = [
     "int_range",
     "to_bitplanes",
+    "unsigned_codes",
+    "column_ones",
+    "redundant_columns",
     "from_bitplanes",
     "to_sign_magnitude_planes",
     "from_sign_magnitude_planes",
@@ -60,6 +66,14 @@ def _validate_range(values: np.ndarray, bits: int) -> None:
         )
 
 
+def _validated(values: np.ndarray, bits: int) -> np.ndarray:
+    values = np.asarray(values)
+    if not np.issubdtype(values.dtype, np.integer):
+        raise TypeError(f"expected an integer array, got dtype {values.dtype}")
+    _validate_range(values, bits)
+    return values
+
+
 def to_bitplanes(values: np.ndarray, bits: int = 8) -> np.ndarray:
     """Decompose a signed integer tensor into two's-complement bit planes.
 
@@ -80,15 +94,93 @@ def to_bitplanes(values: np.ndarray, bits: int = 8) -> np.ndarray:
     >>> to_bitplanes(np.array([-57]), bits=8)[0]
     array([1, 1, 0, 0, 0, 1, 1, 1], dtype=uint8)
     """
-    values = np.asarray(values)
-    if not np.issubdtype(values.dtype, np.integer):
-        raise TypeError(f"expected an integer array, got dtype {values.dtype}")
-    _validate_range(values, bits)
+    values = _validated(values, bits)
     # Re-interpret negatives via the unsigned congruence: x mod 2**bits.
     unsigned = np.mod(values.astype(np.int64), 1 << bits)
     shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
     planes = (unsigned[..., None] >> shifts) & 1
     return planes.astype(np.uint8)
+
+
+def _lane_dtype(bits: int) -> np.dtype:
+    """Narrowest unsigned dtype holding a ``bits``-bit code."""
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if bits <= np.iinfo(dtype).bits:
+            return np.dtype(dtype)
+    raise ValueError(f"at most 64-bit words are supported, got {bits}")
+
+
+def unsigned_codes(values: np.ndarray, bits: int = 8) -> np.ndarray:
+    """Two's-complement codes ``x mod 2**bits`` in the narrowest unsigned dtype.
+
+    Validates like :func:`to_bitplanes`.  ``np.bitwise_count`` of the result
+    is the number of one-bits of each ``bits``-bit word.
+
+    >>> unsigned_codes(np.array([-57, 13]), bits=8)
+    array([199,  13], dtype=uint8)
+    """
+    values = _validated(values, bits)
+    lane = _lane_dtype(bits)
+    mask = np.iinfo(lane).max >> (np.iinfo(lane).bits - bits)
+    return values.astype(lane) & lane.type(mask)
+
+
+def column_ones(values: np.ndarray, bits: int = 8) -> np.ndarray:
+    """One-bits per two's-complement bit column of every vector, MSB first.
+
+    ``values`` has shape ``(..., N)``; the result is the ``(..., bits)`` int64
+    array ``to_bitplanes(values, bits).sum(axis=-2)``, computed without the
+    planes.  The codes are packed into the narrowest unsigned lane that holds
+    ``bits`` and each vector is zero-padded to whole ``uint64`` words.  Bit
+    ``b`` of every lane of a word is then one shift and one per-lane mask
+    away, and ``np.bitwise_count`` of the masked word counts them all.
+
+    >>> column_ones(np.array([[-57, 13]]), bits=8)
+    array([[1, 1, 0, 0, 1, 2, 1, 2]])
+    """
+    codes = unsigned_codes(values, bits)
+    *lead, length = codes.shape
+    lane_bits = codes.dtype.itemsize * 8
+    lanes_per_word = 64 // lane_bits
+    num_words = -(-length // lanes_per_word)
+    num_vectors = int(np.prod(lead))
+    padded = np.zeros((num_vectors, num_words * lanes_per_word), codes.dtype)
+    padded[:, :length] = codes.reshape(num_vectors, length)
+    # (words, vectors): the per-vector sum then adds whole rows instead of
+    # reducing many short inner axes.
+    words = padded.reshape(num_vectors, num_words, lanes_per_word).transpose(1, 0, 2).copy()
+    words = words.view(np.uint64)[..., 0]
+    # A 1 in bit 0 of every lane of a word.
+    lane_ones = np.uint64(sum(1 << (lane_bits * k) for k in range(lanes_per_word)))
+    ones = np.empty((bits, words.shape[1]), dtype=np.int64)
+    scratch = np.empty_like(words)
+    for column in range(bits):
+        np.right_shift(words, np.uint64(bits - 1 - column), out=scratch)
+        np.bitwise_and(scratch, lane_ones, out=scratch)
+        np.bitwise_count(scratch).sum(axis=0, dtype=np.int64, out=ones[column])
+    return np.ascontiguousarray(ones.T).reshape(*lead, bits)
+
+
+def redundant_columns(groups: np.ndarray, bits: int = 8) -> np.ndarray:
+    """Redundant columns of every ``(..., N)`` group, uncapped.
+
+    The batched form of :func:`count_redundant_columns` (without its
+    ``max_redundant`` cap): a column right after the sign column matches it
+    for the whole group exactly when every member fits in one fewer bit, so
+    the count is ``bits - 1 - bit_length(m)`` with ``m`` the largest
+    two's-complement magnitude (``v`` for ``v >= 0``, ``-v - 1`` otherwise),
+    never more than ``bits - 2``.  Validates like :func:`to_bitplanes`.
+
+    >>> redundant_columns(np.array([[3, -5, 15, -16], [-11, 2, -57, 13]]))
+    array([3, 1])
+    """
+    groups = _validated(groups, bits).astype(np.int64, copy=False)
+    # v ^ (v >> 63) is v for v >= 0 and ~v == -v - 1 otherwise.
+    magnitudes = (groups ^ (groups >> 63)).max(axis=-1, initial=0)
+    # bit_length(m) = floor(log2(m + 0.5)) + 1 for m >= 0 (the +0.5 keeps exact
+    # powers of two on the right side of the floor and maps m == 0 to 0).
+    bit_length = np.floor(np.log2(magnitudes + 0.5)).astype(np.int64) + 1
+    return np.minimum(bits - 1 - bit_length, bits - 2)
 
 
 def from_bitplanes(planes: np.ndarray, signed: bool = True) -> np.ndarray:

@@ -98,6 +98,10 @@ def rmse(original: np.ndarray, compressed: np.ndarray) -> float:
     return float(np.sqrt(mse(original, compressed)))
 
 
+# ``kl_divergence`` uses one bin per integer level up to this many levels.
+_MAX_LEVEL_BINS = 4096
+
+
 def kl_divergence(
     original: np.ndarray,
     compressed: np.ndarray,
@@ -126,6 +130,12 @@ def kl_divergence(
         Additive smoothing applied to the compressed histogram so that empty
         bins (lost quantization levels) contribute a large-but-finite penalty.
     """
+    if bins is None and value_range is None:
+        counts = _integer_level_counts(original, compressed)
+        if counts is not None:
+            # A single level means lo == hi, which the histogram path maps to 0.
+            return 0.0 if counts[0].size == 1 else _kl_from_counts(*counts, epsilon)
+
     p_values = np.asarray(original, dtype=np.float64).ravel()
     q_values = np.asarray(compressed, dtype=np.float64).ravel()
     if p_values.size == 0 or q_values.size == 0:
@@ -145,14 +155,46 @@ def kl_divergence(
             bins = int(value_range[1] - value_range[0]) + 1
         else:
             bins = 256
-        bins = max(2, min(bins, 4096))
+        bins = max(2, min(bins, _MAX_LEVEL_BINS))
 
     p_hist, _ = np.histogram(p_values, bins=bins, range=value_range)
     q_hist, _ = np.histogram(q_values, bins=bins, range=value_range)
+    return _kl_from_counts(p_hist, q_hist, epsilon)
+
+
+def _integer_level_counts(
+    original: np.ndarray, compressed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-level counts of two integer tensors, or None to use the histograms.
+
+    With one bin per level over ``[lo, hi]`` (``n = hi - lo + 1`` bins of
+    width ``(n - 1) / n``), integer ``lo + k`` lies at least ``1 / n`` inside
+    histogram bin ``k``, and ``hi`` falls in the closed last bin.  With
+    ``n <= 4096`` and ``|x| < 2**31`` that margin is far above the rounding
+    error of the float bin edges, so ``np.bincount`` gives the histogram's
+    counts exactly.
+    """
+    tensors = [np.asarray(original).ravel(), np.asarray(compressed).ravel()]
+    for values in tensors:
+        integer = np.issubdtype(values.dtype, np.integer)
+        if not (values.size and integer and np.can_cast(values.dtype, np.int64)):
+            return None
+    lo = int(min(values.min() for values in tensors))
+    hi = int(max(values.max() for values in tensors))
+    levels = hi - lo + 1
+    if levels > _MAX_LEVEL_BINS or max(-lo, hi) >= 1 << 31:
+        return None
+    p_hist, q_hist = (
+        np.bincount(values.astype(np.int64) - lo, minlength=levels) for values in tensors
+    )
+    return p_hist, q_hist
+
+
+def _kl_from_counts(p_hist: np.ndarray, q_hist: np.ndarray, epsilon: float) -> float:
     p = p_hist.astype(np.float64)
     q = q_hist.astype(np.float64)
     p /= p.sum()
-    q = (q + epsilon) / (q.sum() + epsilon * bins)
+    q = (q + epsilon) / (q.sum() + epsilon * p_hist.size)
     mask = p > 0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 

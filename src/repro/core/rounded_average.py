@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitplane import to_bitplanes
+from .bitplane import redundant_columns
 from .encoding import (
     MAX_PRUNED_COLUMNS,
     MAX_REDUNDANT_COLUMNS,
@@ -116,25 +116,13 @@ def rounded_average_groups(
     return _rounded_average_core(groups.astype(np.int64), num_columns, bits)
 
 
-def _redundant_columns_batch(groups: np.ndarray, bits: int) -> np.ndarray:
-    """Redundant-column count per group, vectorized, capped at the metadata field."""
-    planes = to_bitplanes(groups, bits)  # (G, N, bits)
-    sign = planes[:, :, :1]
-    # Column c (1-indexed from the sign) is redundant if every row matches the
-    # sign bit in columns 1..c.
-    matches = np.all(planes[:, :, 1:] == sign, axis=1)  # (G, bits - 1)
-    cumulative = np.cumprod(matches, axis=1)
-    # Never drop every magnitude column: at most bits - 2 can be redundant.
-    redundant = cumulative[:, : bits - 2].sum(axis=1)
-    return np.minimum(redundant, MAX_REDUNDANT_COLUMNS).astype(np.int64)
-
-
 def _rounded_average_core(
     groups: np.ndarray, num_columns: int, bits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     num_groups, _ = groups.shape
-    num_redundant = _redundant_columns_batch(groups, bits)
-    num_redundant = np.minimum(num_redundant, num_columns)
+    num_redundant = np.minimum(
+        redundant_columns(groups, bits), min(MAX_REDUNDANT_COLUMNS, num_columns)
+    )
     num_sparse = (num_columns - num_redundant).astype(np.int64)
 
     pruned = groups.copy()

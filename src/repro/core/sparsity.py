@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitplane import to_bitplanes, to_sign_magnitude_planes
+from .bitplane import column_ones, to_sign_magnitude_planes, unsigned_codes
 
 __all__ = [
     "SparsityReport",
@@ -64,8 +64,11 @@ def value_sparsity(weights: np.ndarray) -> float:
 
 def bit_sparsity_twos_complement(weights: np.ndarray, bits: int = 8) -> float:
     """Fraction of zero bits in the two's-complement representation."""
-    planes = to_bitplanes(np.asarray(weights), bits)
-    return float(1.0 - planes.mean()) if planes.size else 0.0
+    codes = unsigned_codes(weights, bits)
+    if not codes.size:
+        return 0.0
+    ones = np.bitwise_count(codes).sum(dtype=np.int64)
+    return float(1.0 - ones / (codes.size * bits))
 
 
 def bit_sparsity_sign_magnitude(weights: np.ndarray, bits: int = 8) -> float:
@@ -82,23 +85,27 @@ def bit_sparsity_sign_magnitude(weights: np.ndarray, bits: int = 8) -> float:
     return float(1.0 - planes.mean()) if planes.size else 0.0
 
 
-def _bit_vectors(weights: np.ndarray, bits: int, vector_size: int) -> np.ndarray:
-    """Reshape a weight tensor into bit vectors of length ``vector_size``.
+def _vector_groups(flat: np.ndarray, vector_size: int) -> np.ndarray:
+    """Consecutive weights as ``(num_groups, vector_size)`` rows.
 
-    Returns an array of shape ``(num_vectors, vector_size)`` where each row is
-    the bits of one significance across ``vector_size`` consecutive weights.
-    Trailing weights that do not fill a vector are zero-padded; padding zeros
+    Trailing weights that do not fill a group are zero-padded; padding zeros
     are counted as sparse under every scheme, which matches how hardware pads
     partially-filled groups.
     """
-    flat = np.asarray(weights).ravel()
     pad = (-flat.size) % vector_size
     if pad:
         flat = np.pad(flat, (0, pad))
-    grouped = flat.reshape(-1, vector_size)
-    planes = to_bitplanes(grouped, bits)  # (num_groups, vector_size, bits)
-    # One bit vector per (group, significance).
-    return planes.transpose(0, 2, 1).reshape(-1, vector_size)
+    return flat.reshape(-1, vector_size)
+
+
+def _vector_ones(weights: np.ndarray, bits: int, vector_size: int) -> np.ndarray:
+    """Two's-complement one-bits of every bit vector of length ``vector_size``.
+
+    A bit vector is the bits of one significance across ``vector_size``
+    consecutive weights; the vectors are ordered by (group, significance).
+    """
+    grouped = _vector_groups(np.asarray(weights).ravel(), vector_size)
+    return column_ones(grouped, bits).reshape(-1)
 
 
 def bbs_sparsity(weights: np.ndarray, bits: int = 8, vector_size: int = 8) -> float:
@@ -108,10 +115,9 @@ def bbs_sparsity(weights: np.ndarray, bits: int = 8, vector_size: int = 8) -> fl
     per-vector sparsity is ``max(zeros, ones) / vector_size`` and is always at
     least 0.5.  The returned value is the mean over all vectors of the tensor.
     """
-    vectors = _bit_vectors(weights, bits, vector_size)
-    if vectors.size == 0:
+    ones = _vector_ones(weights, bits, vector_size)
+    if ones.size == 0:
         return 0.0
-    ones = vectors.sum(axis=1)
     sparse = np.maximum(ones, vector_size - ones) / float(vector_size)
     return float(sparse.mean())
 
@@ -147,26 +153,19 @@ def effectual_bits_per_vector(
         1-D integer array with one entry per bit vector.
     """
     if representation == "twos_complement":
-        vectors = _bit_vectors(weights, bits, vector_size)
-    elif representation == "sign_magnitude":
+        return _vector_ones(weights, bits, vector_size)
+    if representation == "sign_magnitude":
         flat = np.asarray(weights).astype(np.int64).ravel()
         lo = -(1 << (bits - 1))
         flat = np.where(flat == lo, lo + 1, flat)
-        pad = (-flat.size) % vector_size
-        if pad:
-            flat = np.pad(flat, (0, pad))
-        grouped = flat.reshape(-1, vector_size)
-        planes = to_sign_magnitude_planes(grouped, bits)
-        vectors = planes.transpose(0, 2, 1).reshape(-1, vector_size)
-    else:
-        raise ValueError(f"unknown representation {representation!r}")
-    return vectors.sum(axis=1).astype(np.int64)
+        planes = to_sign_magnitude_planes(_vector_groups(flat, vector_size), bits)
+        return planes.sum(axis=1).reshape(-1).astype(np.int64)
+    raise ValueError(f"unknown representation {representation!r}")
 
 
 def bbs_effectual_bits_per_vector(
     weights: np.ndarray, bits: int = 8, vector_size: int = 8
 ) -> np.ndarray:
     """Effectual bits per vector under BBS (minority symbol count, ≤ vector_size / 2)."""
-    vectors = _bit_vectors(weights, bits, vector_size)
-    ones = vectors.sum(axis=1).astype(np.int64)
+    ones = _vector_ones(weights, bits, vector_size)
     return np.minimum(ones, vector_size - ones)

@@ -14,6 +14,7 @@ from repro.core.bitplane import (
     from_bitplanes,
     from_sign_magnitude_planes,
     int_range,
+    redundant_columns,
     remove_redundant_columns,
     to_bitplanes,
     to_sign_magnitude_planes,
@@ -200,13 +201,17 @@ class TestRedundantColumns:
         reduced = remove_redundant_columns(group, count)
         assert np.array_equal(from_bitplanes(reduced), array)
 
-    @given(st.lists(st.integers(-128, 127), min_size=2, max_size=32))
-    @settings(max_examples=60, deadline=None)
-    def test_arithmetic_and_bitplane_redundancy_agree(self, values):
-        # The fast arithmetic implementation used inside Algorithm 1 must agree
-        # with the definitional bit-plane implementation.
-        from repro.core.rounded_average import _redundant_columns_batch as by_planes
-        from repro.core.zero_point_shift import _redundant_columns_batch as by_arith
-
-        array = np.array(values)[None, :]
-        assert by_planes(array, 8)[0] == by_arith(array, 8)[0]
+    @given(st.data(), st.integers(3, 8), st.integers(1, 5), st.integers(0, 32))
+    @settings(max_examples=120, deadline=None)
+    def test_batched_redundant_columns_match_plane_count(self, data, bits, num_groups, size):
+        # The arithmetic batched kernel must agree with the definitional
+        # bit-plane count, group by group.
+        lo, hi = int_range(bits)
+        flat = data.draw(
+            st.lists(st.integers(lo, hi), min_size=num_groups * size, max_size=num_groups * size)
+        )
+        groups = np.array(flat, dtype=np.int64).reshape(num_groups, size)
+        expected = [count_redundant_columns(to_bitplanes(g, bits)) for g in groups]
+        batched = redundant_columns(groups, bits)
+        assert batched.dtype == np.int64
+        assert batched.tolist() == expected

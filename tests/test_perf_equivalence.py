@@ -1,12 +1,13 @@
 """Golden-equivalence tests for the optimized kernels and the artifact memo.
 
 The batched zero-point search, the batched clip search, the arithmetic
-bit-flip and the artifact memo are pure optimizations: they must return
-*bit-identical* results to the original implementations.  These tests pin
-that property across random shapes, pruning budgets, word widths, and
-degenerate inputs, using the kept reference implementations
-(``zero_point_shift_groups_reference``, ``optimal_clip_scale_reference`` and
-``_bitflip_batch_reference``) as the oracles.
+bit-flip, the plane-free bit statistics, the integer KL path and the artifact
+memo are pure optimizations: they must return *bit-identical* results to the
+original implementations.  These tests pin that property across random
+shapes, pruning budgets, word widths, and degenerate inputs, using the kept
+reference implementations (``zero_point_shift_groups_reference``,
+``optimal_clip_scale_reference`` and ``_bitflip_batch_reference``), the
+public ``to_bitplanes`` and ``np.histogram`` as the oracles.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accelerators import (
+    BitletAccelerator,
+    BitVertAccelerator,
+    GroupCycleStats,
+    PragmaticAccelerator,
+)
 from repro.core import (
     PruningStrategy,
     clear_memo,
@@ -24,6 +31,9 @@ from repro.core import (
     memo_stats,
     prune_tensor,
 )
+from repro.core.bitplane import column_ones, int_range, to_bitplanes
+from repro.core.global_pruning import CONSERVATIVE_PRESET, MODERATE_PRESET
+from repro.core.metrics import kl_divergence
 from repro.core.zero_point_shift import (
     zero_point_shift_groups,
     zero_point_shift_groups_reference,
@@ -338,6 +348,197 @@ class TestBitflipEquivalence:
             _bitflip_batch_reference(groups, 2, 8)
         with pytest.raises(ValueError):
             _bitflip_batch(groups, 2, 8)
+
+
+def assert_column_ones_matches(values: np.ndarray, bits: int) -> None:
+    expected = to_bitplanes(values, bits).sum(axis=-2)
+    ones = column_ones(values, bits)
+    assert ones.dtype == np.int64
+    assert ones.shape == values.shape[:-1] + (bits,)
+    assert np.array_equal(ones, expected)
+
+
+class TestColumnOnesEquivalence:
+    @given(
+        st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
+        st.integers(2, 16),
+        st.lists(st.integers(0, 5), min_size=0, max_size=2),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_plane_sum(self, dtype, bits, lead, length, seed):
+        lo, hi = int_range(bits)
+        info = np.iinfo(dtype)
+        lo, hi = max(lo, info.min), min(hi, info.max)
+        values = np.random.default_rng(seed).integers(lo, hi + 1, size=(*lead, length))
+        assert_column_ones_matches(values.astype(dtype), bits)
+
+    @pytest.mark.parametrize("bits", range(2, 17))
+    def test_lane_boundaries_and_extremes(self, bits):
+        lo, hi = int_range(bits)
+        # N = 1, N one short of / one past a whole uint64 word of 8-, 16- and
+        # 32-bit lanes, and rows of the most negative and the largest code.
+        for length in (1, 2, 3, 4, 5, 7, 8, 9, 15, 17, 33):
+            rows = np.array([[lo] * length, [hi] * length, [-1] * length, [0] * length])
+            assert_column_ones_matches(rows, bits)
+            assert_column_ones_matches(rows[:, None, :], bits)
+
+    def test_empty_leading_dims_and_vectors(self):
+        for shape in [(0, 8), (3, 0, 5), (4, 0), (0,)]:
+            assert_column_ones_matches(np.zeros(shape, dtype=np.int64), 8)
+
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            (np.array([[200, 1]]), ValueError),
+            (np.array([[-129, 1]]), ValueError),
+            (np.array([[1.5, 2.0]]), TypeError),
+            (np.array([[1.0, 2.0]]), TypeError),
+            (np.array([[True, False]]), TypeError),
+        ],
+    )
+    def test_rejects_like_to_bitplanes(self, values, error):
+        with pytest.raises(error) as planes_error:
+            to_bitplanes(values, 8)
+        with pytest.raises(error) as ones_error:
+            column_ones(values, 8)
+        assert str(ones_error.value) == str(planes_error.value)
+
+
+def histogram_kl(original, compressed) -> float:
+    """``kl_divergence``'s histogram path, forced with float inputs."""
+    return kl_divergence(
+        np.asarray(original, dtype=np.float64), np.asarray(compressed, dtype=np.float64)
+    )
+
+
+class TestIntegerKLEquivalence:
+    @pytest.mark.parametrize("span", [1, 2, 255, 4096, 4097, 9000])
+    @pytest.mark.parametrize("lo", [-128, 0, -2048, 1_000_000])
+    def test_spans_match_the_histograms(self, span, lo, monkeypatch):
+        # Span 4096 is the last one-bin-per-level case, which must not build a
+        # histogram; 4097 and wider take the 4096-bin histogram path.
+        rng = np.random.default_rng(span)
+        original = rng.integers(lo, lo + span, size=3000)
+        compressed = rng.integers(lo, lo + span, size=1000)
+        original[:2] = (lo, lo + span - 1)  # pin the support
+        expected = histogram_kl(original, compressed)
+        if span <= 4096:
+            monkeypatch.setattr(np, "histogram", None)
+        assert kl_divergence(original, compressed) == expected
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8])
+    def test_dtypes_match_the_histograms(self, dtype):
+        rng = np.random.default_rng(4)
+        info = np.iinfo(dtype)
+        lo, hi = max(info.min, -128), min(info.max, 127)
+        original = rng.integers(lo, hi + 1, size=500).astype(dtype)
+        compressed = (original // 4 * 4).astype(dtype)
+        assert kl_divergence(original, compressed) == histogram_kl(original, compressed)
+
+    def test_int_float_mixes_take_the_histograms(self):
+        rng = np.random.default_rng(5)
+        ints = rng.integers(-128, 128, size=400)
+        for floats in (ints.astype(np.float64), ints * 0.5):
+            assert kl_divergence(ints, floats) == histogram_kl(ints, floats)
+            assert kl_divergence(floats, ints) == histogram_kl(floats, ints)
+
+    def test_explicit_binning_and_degenerate_inputs(self):
+        ints = np.array([-3, 0, 2, 2, 5])
+        other = np.array([-3, 1, 1, 2, 5])
+        assert kl_divergence(ints, other, bins=4) == kl_divergence(
+            ints.astype(float), other.astype(float), bins=4
+        )
+        assert kl_divergence(ints, other, value_range=(-4, 6)) == kl_divergence(
+            ints.astype(float), other.astype(float), value_range=(-4, 6)
+        )
+        assert kl_divergence(np.full(5, 7), np.full(3, 7)) == 0.0
+        with pytest.raises(ValueError):
+            kl_divergence(np.array([], dtype=np.int64), ints)
+
+
+class PlaneBitVert(BitVertAccelerator):
+    """BitVert with the per-sub-group counts taken from bit planes."""
+
+    def _minimal_cycles(self, pruned_weights, lanes):
+        pe_group = self.array.pe_group_size
+        lo, hi = int_range(self.weight_bits)
+        weights = np.clip(np.asarray(pruned_weights), lo, hi)
+        channels, reduction = weights.shape
+        usable = reduction - (reduction % pe_group)
+        if usable == 0:
+            groups = np.zeros((channels, pe_group), dtype=weights.dtype)
+            groups[:, :reduction] = weights
+        else:
+            groups = weights[:, :usable].reshape(-1, pe_group)
+        planes = to_bitplanes(groups.astype(np.int64), self.weight_bits)
+        per_sub = planes.reshape(
+            groups.shape[0], pe_group // self.sub_group, self.sub_group, self.weight_bits
+        )
+        ones = per_sub.sum(axis=2)
+        effectual = np.minimum(ones, self.sub_group - ones).sum(axis=(1, 2))
+        return np.maximum(np.ceil(effectual / lanes), 1.0).astype(np.float64)
+
+
+class PlaneBitlet(BitletAccelerator):
+    def group_cycle_stats(self, layer):
+        planes = to_bitplanes(self.layer_groups(layer), self.weight_bits)
+        ones_per_significance = planes.sum(axis=1)
+        actual = np.maximum(ones_per_significance.max(axis=1).astype(np.float64), 1.0)
+        minimal = np.ceil(ones_per_significance.sum(axis=1) / self.array.lanes_per_pe)
+        minimal = np.minimum(np.maximum(minimal, 1.0), actual)
+        return GroupCycleStats(actual=actual, minimal=minimal)
+
+
+class PlanePragmatic(PragmaticAccelerator):
+    def group_cycle_stats(self, layer):
+        groups = self.layer_groups(layer)
+        lanes = self.array.lanes_per_pe
+        weights_per_lane = max(1, self.array.pe_group_size // lanes)
+        ones_per_weight = to_bitplanes(groups, self.weight_bits).sum(axis=2)
+        lane_view = ones_per_weight[:, : lanes * weights_per_lane].reshape(
+            groups.shape[0], lanes, weights_per_lane
+        )
+        actual = np.maximum(lane_view.sum(axis=2).max(axis=1).astype(np.float64), 1.0)
+        minimal = np.ceil(ones_per_weight.sum(axis=1) / lanes)
+        minimal = np.minimum(np.maximum(minimal, 1.0), actual)
+        return GroupCycleStats(actual=actual, minimal=minimal)
+
+
+def assert_stats_equal(fast: GroupCycleStats, oracle: GroupCycleStats) -> None:
+    for name in ("actual", "minimal"):
+        assert np.array_equal(getattr(fast, name), getattr(oracle, name)), name
+    if oracle.partition is None:
+        assert fast.partition is None
+    else:
+        assert np.array_equal(fast.partition, oracle.partition)
+
+
+@pytest.fixture(scope="module", params=["ResNet-50", "BERT-MRPC"])
+def synthesized_layers(request):
+    model = get_model(request.param)
+    return synthesize_model(model, seed=3, max_channels=64, max_reduction=512)
+
+
+class TestPlaneFreeAcceleratorStats:
+    @pytest.mark.parametrize(
+        "fast, oracle",
+        [
+            (
+                lambda: BitVertAccelerator(CONSERVATIVE_PRESET),
+                lambda: PlaneBitVert(CONSERVATIVE_PRESET),
+            ),
+            (lambda: BitVertAccelerator(MODERATE_PRESET), lambda: PlaneBitVert(MODERATE_PRESET)),
+            (BitletAccelerator, PlaneBitlet),
+            (PragmaticAccelerator, PlanePragmatic),
+        ],
+        ids=["bitvert-conservative", "bitvert-moderate", "bitlet", "pragmatic"],
+    )
+    def test_group_cycle_stats_match_plane_oracle(self, synthesized_layers, fast, oracle):
+        fast, oracle = fast(), oracle()
+        for layer in synthesized_layers.values():
+            assert_stats_equal(fast.group_cycle_stats(layer), oracle.group_cycle_stats(layer))
 
 
 class TestMemoizedCompressionEquivalence:
