@@ -42,9 +42,9 @@ def post(base: str, path: str, payload: dict) -> dict:
 
 def poll(base: str, job_id: str, interval: float = 0.05) -> dict:
     while True:
-        status = get(base, f"/jobs/{job_id}")
+        status = get(base, f"/v1/jobs/{job_id}")
         if status["state"] in ("done", "failed"):
-            return get(base, f"/jobs/{job_id}/result")
+            return get(base, f"/v1/jobs/{job_id}/result")
         time.sleep(interval)
 
 
@@ -64,13 +64,13 @@ def main() -> int:
         base = f"http://127.0.0.1:{server.port}"
         print(f"self-hosted service on {base}")
 
-    health = get(base, "/health")
+    health = get(base, "/v1/health")
     print(f"service up, {health['scenarios']} scenarios, "
           f"{health['pool']['workers']} workers")
 
     # Cold request: submit, then poll like an asynchronous client would.
     start = time.perf_counter()
-    submitted = post(base, "/jobs", JOB)
+    submitted = post(base, "/v1/jobs", JOB)
     finished = poll(base, submitted["job_id"])
     cold = time.perf_counter() - start
     result = finished["result"]
@@ -81,7 +81,7 @@ def main() -> int:
 
     # Identical request: served from the content-hash cache.
     start = time.perf_counter()
-    cached = post(base, "/jobs?wait=60", JOB)
+    cached = post(base, "/v1/jobs?wait=60", JOB)
     warm = time.perf_counter() - start
     print(f"\ncached job {cached['job_id']}: {cached['state']} in {warm:.3f}s "
           f"(cache_hit={cached['cache_hit']})")
@@ -89,7 +89,7 @@ def main() -> int:
         print(f"  speedup: {cold / warm:.0f}x")
     assert cached["result"] == result, "cache returned a different result!"
 
-    print("\ncache stats:", json.dumps(get(base, "/cache/stats"), indent=2))
+    print("\ncache stats:", json.dumps(get(base, "/v1/cache/stats"), indent=2))
 
     if server is not None:
         server.close()

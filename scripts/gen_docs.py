@@ -2,10 +2,11 @@
 """Generate the derived reference docs: docs/http-api.md and docs/cli.md.
 
 Reference documentation that is *derived* cannot drift: ``docs/http-api.md``
-is rendered from the committed ``API_SURFACE.json`` contract (every route
-must have a description in :data:`ROUTE_DOCS` — adding a route without
-documenting it fails generation), and ``docs/cli.md`` is rendered by walking
-the live argparse tree plus the scenario/codec registries.  CI runs
+is rendered from the committed ``API_SURFACE.json`` contract, each route
+described by the ``doc`` of its row in the node's or the gateway's route
+table (a surface route with no table row fails generation), and
+``docs/cli.md`` is rendered by walking the live argparse tree plus the
+scenario/codec registries.  CI runs
 ``--check`` so the committed files always match what the code would
 generate:
 
@@ -35,67 +36,22 @@ HEADER = (
     "run `python scripts/gen_docs.py` to refresh. -->\n"
 )
 
-#: Every /v1 route's one-line description.  A route present in
-#: API_SURFACE.json but missing here fails generation — documenting the
-#: route is part of adding it.
-ROUTE_DOCS = {
-    "GET /v1/cache/stats": "Result-cache occupancy and hit/miss counters.",
-    "GET /v1/codecs": "Codec discovery: names, versions, parameter schemas.",
-    "GET /v1/health": "Liveness, uptime, scenario count, worker-pool stats.",
-    "GET /v1/healthz": "Always-200 process liveness probe (no body inspection needed).",
-    "GET /v1/readyz": "Readiness: 200 when serving, 503 while replaying the journal or draining.",
-    "GET /v1/jobs": "List jobs; `state`, `digest`, `offset`, `limit` query params.",
-    "GET /v1/jobs/<id>": "One job's record (state, timings, provenance digest).",
-    "GET /v1/jobs/<id>/result": "The finished job's result payload (409 while running).",
-    "GET /v1/jobs/<id>/trace": "The job's span tree from the trace ring buffer.",
-    "GET /v1/metrics": "Prometheus text (or `?format=json`) for every metric family.",
-    "GET /v1/results": "Query the results warehouse; see [docs/query-cookbook.md](query-cookbook.md).",
-    "GET /v1/results/<digest>": "One warehoused cell: params, result payload, metric leaves.",
-    "GET /v1/scenarios": "Scenario discovery: names and canonical default params.",
-    "POST /v1/campaign": "Submit a whole campaign spec as one job.",
-    "POST /v1/compress": "One-shot codec compression of a synthetic matrix.",
-    "POST /v1/jobs": "Submit a job (`type`, `params`, optional `deadline_s`).",
-    "POST /v1/jobs/<id>/cancel": "Cancel a job that no worker has picked up yet.",
-}
 
-#: Every gateway route's one-line description, under the same contract as
-#: :data:`ROUTE_DOCS` but against ``gateway_routes`` in API_SURFACE.json.
-GATEWAY_ROUTE_DOCS = {
-    "GET /v1/codecs": "Codec discovery from the gateway's own registry (probe surface).",
-    "GET /v1/gateway/nodes": "The node registry: ids, URLs, health states, queue depths.",
-    "GET /v1/health": "Gateway liveness plus per-state node counts (`role: gateway`).",
-    "GET /v1/healthz": "Always-200 process liveness probe.",
-    "GET /v1/jobs": "Job listing fanned out over reachable nodes; ids rewritten to gateway form.",
-    "GET /v1/jobs/<id>": "Proxied job record; answers from the replica journal when the node is gone.",
-    "GET /v1/jobs/<id>/result": "Proxied result payload (409 while running or being failed over).",
-    "GET /v1/jobs/<id>/trace": "Proxied span tree for the job's node-side trace.",
-    "GET /v1/metrics": "Prometheus text (or `?format=json`) including the gateway families.",
-    "GET /v1/readyz": "Readiness: 200 with >=1 healthy node, 503 when empty or draining.",
-    "GET /v1/scenarios": "Scenario discovery from the gateway's own registry (probe surface).",
-    "POST /v1/campaign": "Canonicalize, route by digest, and proxy a campaign submission.",
-    "POST /v1/compress": "Canonicalize, route by digest, and proxy a compression job.",
-    "POST /v1/jobs": "Canonicalize, route by digest, and proxy a generic job submission.",
-    "POST /v1/jobs/<id>/cancel": "Proxied cancel on the job's current node.",
-    "POST /v1/nodes": "Node self-registration (`url`, `registry_digest`); 409 on registry skew.",
-    "POST /v1/nodes/<id>/deregister": "Graceful goodbye; leftover unfinished jobs fail over.",
-    "POST /v1/nodes/<id>/heartbeat": "Node heartbeat carrying queue depth and registry digest.",
-    "POST /v1/nodes/<id>/journal": "Ingest checksummed journal lines into the node's replica.",
-}
+def _route_rows(surface_routes: list[str], routes) -> list[str]:
+    """Table rows for the surface's routes, described by their table rows."""
+    docs = {route.name: route.doc for route in routes}
+    missing = [name for name in surface_routes if name not in docs]
+    if missing:
+        raise SystemExit(
+            f"error: routes in API_SURFACE.json with no route table row: {missing}"
+        )
+    return [f"| `{name}` | {docs[name]} |" for name in surface_routes]
 
 
 def generate_http_api(surface: dict) -> str:
     """Render docs/http-api.md from the API_SURFACE.json contract."""
-    missing = [route for route in surface["v1_routes"] if route not in ROUTE_DOCS]
-    if missing:
-        raise SystemExit(
-            f"error: routes missing a description in scripts/gen_docs.py "
-            f"ROUTE_DOCS: {missing}"
-        )
-    stale = [route for route in ROUTE_DOCS if route not in surface["v1_routes"]]
-    if stale:
-        raise SystemExit(
-            f"error: ROUTE_DOCS describes routes absent from the surface: {stale}"
-        )
+    from repro.gateway.server import GatewayHandler
+    from repro.service.server import NodeHandler
 
     lines = [
         HEADER,
@@ -108,22 +64,9 @@ def generate_http_api(surface: dict) -> str:
         "| Route | Description |",
         "| --- | --- |",
     ]
-    for route in surface["v1_routes"]:
-        lines.append(f"| `{route}` | {ROUTE_DOCS[route]} |")
+    lines += _route_rows(surface["v1_routes"], NodeHandler.routes)
 
     gateway_routes = surface.get("gateway_routes", [])
-    missing = [r for r in gateway_routes if r not in GATEWAY_ROUTE_DOCS]
-    if missing:
-        raise SystemExit(
-            f"error: gateway routes missing a description in scripts/gen_docs.py "
-            f"GATEWAY_ROUTE_DOCS: {missing}"
-        )
-    stale = [r for r in GATEWAY_ROUTE_DOCS if r not in gateway_routes]
-    if gateway_routes and stale:
-        raise SystemExit(
-            f"error: GATEWAY_ROUTE_DOCS describes routes absent from the "
-            f"surface: {stale}"
-        )
     if gateway_routes:
         lines += [
             "",
@@ -137,8 +80,7 @@ def generate_http_api(surface: dict) -> str:
             "| Route | Description |",
             "| --- | --- |",
         ]
-        for route in gateway_routes:
-            lines.append(f"| `{route}` | {GATEWAY_ROUTE_DOCS[route]} |")
+        lines += _route_rows(gateway_routes, GatewayHandler.routes)
 
     lines += [
         "",
@@ -153,9 +95,8 @@ def generate_http_api(surface: dict) -> str:
         "(`jobs` for `GET /v1/jobs`, `results` for `GET /v1/results`).",
         "- `POST` submissions answer 202 with the job record; add `?wait=S` "
         "to block up to `S` seconds for completion (200 with the result).",
-        "- A handful of pre-`/v1` paths (`/health`, `/jobs`, ...) still serve "
-        "as deprecated aliases with deprecation headers; endpoints introduced "
-        "since (`/v1/codecs`, `/v1/results`, ...) are `/v1`-only.",
+        "- Unprefixed paths (`/health`, `/jobs`, ...) were removed; every "
+        "route is `/v1`-only and anything else answers 404.",
         "",
         "## Scenarios",
         "",

@@ -3,9 +3,9 @@
 Prometheus-style metrics multiply storage by the cross product of their
 label values; one f-string label built from user input turns a bounded
 family into an unbounded one.  The repo's contract is that label values
-are literals, enum-ish locals, or pass through a collapse helper
-(``_route_label``, ``str(...)`` over a closed set) — never string
-interpolation at the call site.
+are literals, enum-ish locals, or values collapsed onto a closed set (the
+route-table pattern a request matched, else ``unrouted``; ``str(...)`` over
+a closed set) — never string interpolation at the call site.
 
 The checker inspects the keyword arguments of every ``.inc``/``.observe``/
 ``.set``/``.dec`` call (the ``**labels`` channel of the metrics facade) and

@@ -32,13 +32,9 @@ way out and back so callers never handle node-local ids.
 
 from __future__ import annotations
 
-import json
-import math
 import tempfile
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
 
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_metrics
@@ -48,45 +44,26 @@ from ..service.client import (
     ServiceRequestError,
     ServiceUnavailable,
 )
+from ..service.http import (
+    API_VERSION,
+    HTTPError,
+    HTTPHandler,
+    HTTPServerBase,
+    Route,
+    parse_json_body,
+    parse_wait,
+    retry_after_header,
+    route_names,
+)
 from ..service.registry import ScenarioRegistry, build_default_registry
-from ..service.server import canonicalize_campaign, canonicalize_compress
+from ..service.server import canonicalize_submission
 from ..service.workers import job_digest
 from .quotas import ANONYMOUS_TENANT, QuotaExceeded, TenantQuotas, UnknownKeyError
 from .registry import NodeRegistry, RegistrySkewError, UnknownNodeError, compute_registry_digest
 from .replication import ReplicaStore
 from .ring import HashRing
 
-__all__ = ["GATEWAY_ROUTES", "GatewayServer", "create_gateway"]
-
-#: The gateway's route table — snapshotted by ``scripts/check_api_surface.py``
-#: (``gateway_routes``) so the front-door surface is an explicit contract,
-#: like the node's ``V1_ROUTES``.
-GATEWAY_ROUTES = (
-    "GET /v1/codecs",
-    "GET /v1/gateway/nodes",
-    "GET /v1/health",
-    "GET /v1/healthz",
-    "GET /v1/jobs",
-    "GET /v1/jobs/<id>",
-    "GET /v1/jobs/<id>/result",
-    "GET /v1/jobs/<id>/trace",
-    "GET /v1/metrics",
-    "GET /v1/readyz",
-    "GET /v1/scenarios",
-    "POST /v1/campaign",
-    "POST /v1/compress",
-    "POST /v1/jobs",
-    "POST /v1/jobs/<id>/cancel",
-    "POST /v1/nodes",
-    "POST /v1/nodes/<id>/deregister",
-    "POST /v1/nodes/<id>/heartbeat",
-    "POST /v1/nodes/<id>/journal",
-)
-
-_GATEWAY_ROUTE_SET = frozenset(GATEWAY_ROUTES)
-
-#: Same body bound as the node servers (a campaign spec is a few KiB).
-MAX_BODY_BYTES = 16 * 1024 * 1024
+__all__ = ["GATEWAY_ROUTES", "GatewayHandler", "GatewayServer", "create_gateway"]
 
 _OBS = get_metrics()
 _GW_REQUESTS = _OBS.counter(
@@ -111,26 +88,6 @@ _FAILOVER = _OBS.counter(
 _TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
 
-def _route_label(method: str, parts: list[str]) -> str:
-    """Collapse a request to its route pattern; unknown paths -> unrouted."""
-    normalized = list(parts)
-    if len(normalized) >= 2 and normalized[0] in ("jobs", "nodes"):
-        normalized[1] = "<id>"
-    candidate = "/v1/" + "/".join(normalized)
-    if f"{method} {candidate}" in _GATEWAY_ROUTE_SET:
-        return candidate
-    return "unrouted"
-
-
-def _parse_deadline(body: dict) -> float | None:
-    value = body.get("deadline_s")
-    if value is None:
-        return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
-        raise ValueError('"deadline_s" must be a positive number of seconds')
-    return float(value)
-
-
 class NoRouteError(Exception):
     """No healthy node can take this submission right now."""
 
@@ -144,333 +101,137 @@ class FleetSaturated(Exception):
         self.retry_after = retry_after
 
 
-class _HTTPError(Exception):
-    def __init__(self, status: int, message: str, close: bool = False):
-        super().__init__(message)
-        self.status = status
-        self.message = message
-        self.close = close
-
-
-class _GatewayHandler(BaseHTTPRequestHandler):
+class GatewayHandler(HTTPHandler):
     server: "GatewayServer"
     server_version = "repro-gateway/1.0"
-    protocol_version = "HTTP/1.1"
+    span_name = "gateway.request"
+    internal_error = "internal gateway error"
 
-    # ------------------------------------------------------------------ #
-    # Plumbing (mirrors the node handler's envelope guarantees)
-    # ------------------------------------------------------------------ #
+    def _handle(self) -> None:
+        # The tenant label starts anonymous and is upgraded once a request
+        # authenticates, so the per-tenant request counter stays a closed
+        # set (keys-file names + anonymous).
+        self.tenant = ANONYMOUS_TENANT
+        super()._handle()
 
-    def log_message(self, format: str, *args) -> None:
-        if self.server.verbose:
-            super().log_message(format, *args)
+    def record_request(self, route: str, status: int, seconds: float) -> None:
+        _GW_SECONDS.observe(seconds, route=route)
+        _GW_REQUESTS.inc(route=route, status=str(status), tenant=self.tenant)
 
-    def _send_json(
-        self, status: int, payload: dict, extra_headers: dict[str, str] | None = None
-    ) -> None:
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        self._observed_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self._observed_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _split_path(self, url) -> list[str]:
-        """Path segments under ``/v1``.  The gateway is ``/v1``-only — it was
-        born versioned, so there is no legacy alias surface to carry."""
-        parts = [part for part in url.path.split("/") if part]
-        if parts and parts[0] == "v1":
-            return parts[1:]
-        return ["", *parts]  # unrouted namespace -> 404
-
-    def _drain_body(self) -> bytes:
-        raw_length = self.headers.get("Content-Length")
-        try:
-            length = int(raw_length) if raw_length is not None else 0
-        except ValueError:
-            raise _HTTPError(
-                400, f"invalid Content-Length header {raw_length!r}", close=True
-            ) from None
-        if length < 0:
-            raise _HTTPError(
-                400, f"invalid Content-Length header {raw_length!r}", close=True
-            )
-        if length > MAX_BODY_BYTES:
-            raise _HTTPError(
-                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}",
-                close=True,
-            )
-        return self.rfile.read(length) if length else b""
-
-    def _parse_json_body(self, raw: bytes) -> dict:
-        if not raw:
-            raise _HTTPError(400, "empty request body; expected a JSON object")
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise _HTTPError(400, f"invalid JSON body: {error}") from None
-        if not isinstance(body, dict):
-            raise _HTTPError(400, "request body must be a JSON object")
-        return body
-
-    def _handle(self, route) -> None:
-        """Observability choke point: metrics + one ``gateway.request`` span.
-
-        The tenant label starts ``anonymous`` and is upgraded once a
-        submission authenticates, so the per-tenant request counter stays a
-        closed set (keys-file names + anonymous).
-        """
-        url = urlsplit(self.path)
-        route_label = _route_label(self.command, self._split_path(url))
-        self._observed_status = 0
-        self._tenant_label = ANONYMOUS_TENANT
-        request_span = obs_trace.start_span(
-            "gateway.request",
-            attrs={"method": self.command, "route": route_label, "path": url.path},
-            parent=obs_trace.parse_traceparent(
-                self.headers.get(obs_trace.TRACE_HEADER)
-            ),
-        )
-        started = time.perf_counter()
-        try:
-            with obs_trace.activate(request_span):
-                self._dispatch_route(route)
-        finally:
-            status = self._observed_status
-            request_span.set_attr("status", status)
-            request_span.finish(
-                status="error" if status >= 500 or status == 0 else "ok"
-            )
-            _GW_SECONDS.observe(time.perf_counter() - started, route=route_label)
-            _GW_REQUESTS.inc(
-                route=route_label, status=str(status), tenant=self._tenant_label
-            )
-
-    def _dispatch_route(self, route) -> None:
-        try:
-            route()
-        except _HTTPError as error:
-            if error.close:
-                self.close_connection = True
-            self._send_json(error.status, {"error": error.message})
-        except UnknownKeyError as error:
-            self._send_json(
-                401,
-                {"error": str(error)},
-                extra_headers={"WWW-Authenticate": "Bearer"},
-            )
-        except QuotaExceeded as error:
-            self._send_json(
-                429,
-                {
-                    "error": str(error),
-                    "tenant": error.tenant,
-                    "reason": error.reason,
-                    "retry_after": error.retry_after,
-                },
-                extra_headers={
-                    "Retry-After": str(max(1, math.ceil(error.retry_after)))
-                },
-            )
-        except RegistrySkewError as error:
-            self._send_json(409, {"error": str(error)})
-        except UnknownNodeError as error:
+    def error_response(self, error: Exception):
+        if isinstance(error, UnknownKeyError):
+            return 401, {"error": str(error)}, {"WWW-Authenticate": "Bearer"}
+        if isinstance(error, QuotaExceeded):
+            payload = {
+                "error": str(error),
+                "tenant": error.tenant,
+                "reason": error.reason,
+                "retry_after": error.retry_after,
+            }
+            return 429, payload, retry_after_header(error.retry_after)
+        if isinstance(error, RegistrySkewError):
+            return 409, {"error": str(error)}
+        if isinstance(error, UnknownNodeError):
             node_id = error.args[0] if error.args else "?"
-            self._send_json(404, {"error": f"unknown node {node_id!r}"})
-        except FleetSaturated as error:
-            self._send_json(
-                429,
-                {"error": str(error), "retry_after": error.retry_after},
-                extra_headers={
-                    "Retry-After": str(max(1, math.ceil(error.retry_after)))
-                },
-            )
-        except NoRouteError as error:
-            self._send_json(
-                503, {"error": f"no healthy node available: {error}"}
-            )
-        except ServiceRequestError as error:
+            return 404, {"error": f"unknown node {node_id!r}"}
+        if isinstance(error, FleetSaturated):
+            payload = {"error": str(error), "retry_after": error.retry_after}
+            return 429, payload, retry_after_header(error.retry_after)
+        if isinstance(error, NoRouteError):
+            return 503, {"error": f"no healthy node available: {error}"}
+        if isinstance(error, ServiceRequestError):
             # A node answered with a definitive error: pass it through under
             # the node's own status so clients see one consistent API.
             payload = error.payload if isinstance(error.payload, dict) else None
-            self._send_json(error.status, payload or {"error": str(error)})
-        except ServiceUnavailable as error:
-            self._send_json(502, {"error": f"node unreachable: {error}"})
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True  # client went away; nothing to send
-        except Exception as error:  # noqa: BLE001 - last-resort envelope
-            self.close_connection = True
-            try:
-                self._send_json(
-                    500,
-                    {"error": f"internal gateway error: {type(error).__name__}: {error}"},
-                )
-            except (BrokenPipeError, ConnectionResetError, OSError, ValueError, TypeError):
-                self._observed_status = 0  # connection unusable; span says error
+            return error.status, payload or {"error": str(error)}
+        if isinstance(error, ServiceUnavailable):
+            return 502, {"error": f"node unreachable: {error}"}
+        return None
+
+    def not_ready_reason(self) -> str | None:
+        """Ready when at least one registered node is healthy to route to."""
+        return None if self.server.nodes.healthy_ids() else "no healthy nodes registered"
+
+    def _authenticate(self):
+        """The request's tenant when quotas are enforced, else ``None``."""
+        quotas = self.server.quotas
+        if quotas is None:
+            return None
+        tenant = quotas.tenant_for(self.headers.get("Authorization"))
+        self.tenant = tenant.name
+        return tenant
 
     # ------------------------------------------------------------------ #
     # Routes
     # ------------------------------------------------------------------ #
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._handle(self._route_get)
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        self._handle(self._route_post)
-
-    def _route_get(self) -> None:
-        url = urlsplit(self.path)
-        parts = self._split_path(url)
+    def health(self) -> None:
         server = self.server
+        self.send_json(
+            200,
+            {
+                "status": "ok",
+                "api_version": API_VERSION,
+                "role": "gateway",
+                "uptime_seconds": time.time() - server.started_at,
+                "scenarios": len(server.registry),
+                "registry_digest": server.registry_digest,
+                "nodes": server.nodes.counts(),
+            },
+        )
 
-        if parts == ["health"]:
-            self._send_json(
-                200,
-                {
-                    "status": "ok",
-                    "api_version": "v1",
-                    "role": "gateway",
-                    "uptime_seconds": time.time() - server.started_at,
-                    "scenarios": len(server.registry),
-                    "registry_digest": server.registry_digest,
-                    "nodes": server.nodes.counts(),
-                },
-            )
-        elif parts == ["healthz"]:
-            self._send_json(200, {"status": "alive"})
-        elif parts == ["readyz"]:
-            self._send_readyz()
-        elif parts == ["scenarios"]:
-            self._send_json(200, {"scenarios": server.registry.describe()})
-        elif parts == ["codecs"]:
-            from .. import codecs
+    def list_nodes(self) -> None:
+        server = self.server
+        self.send_json(
+            200,
+            {
+                "nodes": [node.to_dict() for node in server.nodes.nodes()],
+                "counts": server.nodes.counts(),
+                "registry_digest": server.registry_digest,
+            },
+        )
 
-            self._send_json(
-                200, {"api_version": "v1", "codecs": codecs.describe_codecs()}
-            )
-        elif parts == ["metrics"]:
-            self._send_metrics(url.query)
-        elif parts == ["gateway", "nodes"]:
-            self._send_json(
-                200,
-                {
-                    "nodes": [node.to_dict() for node in server.nodes.nodes()],
-                    "counts": server.nodes.counts(),
-                    "registry_digest": server.registry_digest,
-                },
-            )
-        elif parts == ["jobs"]:
-            self._send_json(200, server.list_jobs(url.query))
-        elif len(parts) in (2, 3) and parts[0] == "jobs":
-            suffix = ""
-            if len(parts) == 3:
-                if parts[2] not in ("result", "trace"):
-                    self._send_json(404, {"error": f"no such endpoint {url.path!r}"})
-                    return
-                suffix = "/" + parts[2]
-            status, payload = server.proxy_job_get(parts[1], suffix)
-            self._send_json(status, payload)
-        else:
-            self._send_json(404, {"error": f"no such endpoint {url.path!r}"})
+    def list_jobs(self) -> None:
+        self.send_json(200, self.server.list_jobs(self.url.query))
 
-    def _send_readyz(self) -> None:
-        """Ready when at least one registered node is healthy to route to."""
-        if self.server.draining:
-            self._send_json(503, {"ready": False, "reason": "draining"})
-        elif not self.server.nodes.healthy_ids():
-            self._send_json(
-                503, {"ready": False, "reason": "no healthy nodes registered"}
-            )
-        else:
-            self._send_json(200, {"ready": True})
+    def job(self, gid: str) -> None:
+        self.send_json(*self.server.proxy_job_get(gid, ""))
 
-    def _send_metrics(self, query_string: str) -> None:
-        query = parse_qs(query_string)
-        fmt = query.get("format", ["prometheus"])[0]
-        registry = get_metrics()
-        if fmt == "json":
-            self._send_json(200, registry.to_jsonable())
-        elif fmt in ("prometheus", "text"):
-            self._send_text(
-                200,
-                registry.render_prometheus(),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-        else:
-            raise _HTTPError(
-                400, f'invalid "format" {fmt!r}; one of ["json", "prometheus"]'
-            )
+    def job_result(self, gid: str) -> None:
+        self.send_json(*self.server.proxy_job_get(gid, "/result"))
 
-    def _route_post(self) -> None:
-        url = urlsplit(self.path)
-        raw = self._drain_body()
-        parts = self._split_path(url)
+    def job_trace(self, gid: str) -> None:
+        self.send_json(*self.server.proxy_job_get(gid, "/trace"))
 
-        if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
-            server = self.server
-            if server.quotas is not None:
-                # Cancelling releases the job's quota slot, so it must not
-                # be open to anonymous callers when tenants are enforced;
-                # same auth path as _submit (rate is not charged — a cancel
-                # sheds load, it does not add any).
-                tenant = server.quotas.tenant_for(self.headers.get("Authorization"))
-                self._tenant_label = tenant.name
-            status, payload = server.proxy_cancel(parts[1])
-            self._send_json(status, payload)
-            return
-        if parts == ["nodes"]:
-            self._register_node(self._parse_json_body(raw))
-            return
-        if len(parts) == 2 and parts[0] == "nodes":
-            raise _HTTPError(404, f"no such endpoint {url.path!r}")
-        if len(parts) == 3 and parts[0] == "nodes":
-            self._node_ops(parts[1], parts[2], raw)
-            return
-        if parts not in (["jobs"], ["compress"], ["campaign"]):
-            self._send_json(404, {"error": f"no such endpoint {url.path!r}"})
-            return
-        self._submit(parts, url.query, self._parse_json_body(raw))
+    def cancel_job(self, gid: str) -> None:
+        # Cancelling releases the job's quota slot, so it must not be open
+        # to anonymous callers when tenants are enforced; rate is not
+        # charged — a cancel sheds load, it does not add any.
+        self._authenticate()
+        self.send_json(*self.server.proxy_cancel(gid))
 
-    # ------------------------------------------------------------------ #
-    # Front door: routed submission
-    # ------------------------------------------------------------------ #
-
-    def _submit(self, parts: list[str], query_string: str, body: dict) -> None:
+    def submit(self) -> None:
         """Canonicalize -> authorize -> route by digest -> proxy -> record."""
         server = self.server
-        tenant = None
-        if server.quotas is not None:
-            tenant = server.quotas.tenant_for(self.headers.get("Authorization"))
-            self._tenant_label = tenant.name
+        path = self.route.pattern
+        body = parse_json_body(self.body)
+        tenant = self._authenticate()
+        if tenant is not None:
             server.quotas.admit(tenant)
+        # Validated here, before a quota slot is held or a node is tried: a
+        # malformed value must be the caller's 400, not a node failure.
+        wait = parse_wait(self.query)
         try:
-            job_type, params, digest, deadline_s = server.canonicalize(parts, body)
+            job_type, params, digest, deadline_s = server.canonicalize(path, body)
         except ValueError as error:
-            raise _HTTPError(400, str(error)) from None
+            raise HTTPError(400, str(error)) from None
         if tenant is not None:
             # In-flight slots are keyed by digest: idempotent across the
             # resubmission of the same work and stable across failover.
             server.quotas.acquire(tenant, digest)
-        query = parse_qs(query_string)
-        wait = f"?wait={query['wait'][0]}" if "wait" in query else ""
+        query = f"?wait={wait}" if wait is not None else ""
         try:
-            node_id, record = server.submit_routed(
-                f"/v1/{parts[0]}", body, digest, query=wait
-            )
+            node_id, record = server.submit_routed(path, body, digest, query=query)
         except (NoRouteError, FleetSaturated, ServiceError):
             if tenant is not None:
                 server.quotas.release(digest)
@@ -484,7 +245,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 f"digest mismatch (gateway {digest[:12]}..., "
                 f"node {str(remote_digest)[:12]}...): registry skew",
             )
-            raise _HTTPError(
+            raise HTTPError(
                 502,
                 f"node {node_id} canonicalized the job to a different digest; "
                 "refusing the response (registry skew)",
@@ -496,29 +257,30 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         if tenant is not None and state in _TERMINAL_STATES:
             server.quotas.release(digest)
         payload = {**record, "job_id": gid, "node": node_id}
-        self._send_json(200 if state in _TERMINAL_STATES else 202, payload)
+        self.send_json(200 if state in _TERMINAL_STATES else 202, payload)
 
     # ------------------------------------------------------------------ #
     # Node operations
     # ------------------------------------------------------------------ #
 
-    def _register_node(self, body: dict) -> None:
+    def register_node(self) -> None:
+        body = parse_json_body(self.body)
         url = body.get("url")
         if not isinstance(url, str) or not url:
-            raise _HTTPError(400, 'missing or non-string "url" field')
+            raise HTTPError(400, 'missing or non-string "url" field')
         digest = body.get("registry_digest")
         if not isinstance(digest, str) or not digest:
-            raise _HTTPError(400, 'missing or non-string "registry_digest" field')
+            raise HTTPError(400, 'missing or non-string "registry_digest" field')
         node_id = body.get("node_id")
         if node_id is not None and not isinstance(node_id, str):
-            raise _HTTPError(400, '"node_id" must be a string when present')
+            raise HTTPError(400, '"node_id" must be a string when present')
         try:
             node = self.server.admit_node(url, digest, node_id=node_id)
         except RegistrySkewError:
             raise
         except ValueError as error:
-            raise _HTTPError(400, str(error)) from None
-        self._send_json(
+            raise HTTPError(400, str(error)) from None
+        self.send_json(
             200,
             {
                 "node_id": node.node_id,
@@ -527,39 +289,72 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             },
         )
 
-    def _node_ops(self, node_id: str, op: str, raw: bytes) -> None:
-        server = self.server
-        if op == "heartbeat":
-            body = self._parse_json_body(raw)
-            depth = body.get("queue_depth", 0)
-            if not isinstance(depth, int) or isinstance(depth, bool):
-                raise _HTTPError(400, '"queue_depth" must be an integer')
-            digest = body.get("registry_digest")
-            if not isinstance(digest, str):
-                raise _HTTPError(400, 'missing or non-string "registry_digest" field')
-            node = server.nodes.heartbeat(node_id, depth, digest)
-            self._send_json(200, {"status": "ok", "state": node.state})
-        elif op == "journal":
-            body = self._parse_json_body(raw)
-            lines = body.get("lines")
-            if not isinstance(lines, list) or not all(
-                isinstance(line, str) for line in lines
-            ):
-                raise _HTTPError(400, '"lines" must be a list of strings')
-            if server.nodes.get(node_id) is None:
-                raise UnknownNodeError(node_id)
-            self._send_json(200, server.replicas.append_lines(node_id, lines))
-        elif op == "deregister":
-            node = server.remove_node(node_id)
-            self._send_json(200, node.to_dict())
-        else:
-            raise _HTTPError(404, f"no such node operation {op!r}")
+    def heartbeat(self, node_id: str) -> None:
+        body = parse_json_body(self.body)
+        depth = body.get("queue_depth", 0)
+        if not isinstance(depth, int) or isinstance(depth, bool):
+            raise HTTPError(400, '"queue_depth" must be an integer')
+        digest = body.get("registry_digest")
+        if not isinstance(digest, str):
+            raise HTTPError(400, 'missing or non-string "registry_digest" field')
+        node = self.server.nodes.heartbeat(node_id, depth, digest)
+        self.send_json(200, {"status": "ok", "state": node.state})
+
+    def journal(self, node_id: str) -> None:
+        body = parse_json_body(self.body)
+        lines = body.get("lines")
+        if not isinstance(lines, list) or not all(isinstance(line, str) for line in lines):
+            raise HTTPError(400, '"lines" must be a list of strings')
+        if self.server.nodes.get(node_id) is None:
+            raise UnknownNodeError(node_id)
+        self.send_json(200, self.server.replicas.append_lines(node_id, lines))
+
+    def deregister(self, node_id: str) -> None:
+        self.send_json(200, self.server.remove_node(node_id).to_dict())
+
+    routes = HTTPHandler.routes + (
+        Route("GET", "/v1/gateway/nodes", list_nodes,
+              "The node registry: ids, URLs, health states, queue depths."),
+        Route("GET", "/v1/health", health,
+              "Gateway liveness plus per-state node counts (`role: gateway`)."),
+        Route("GET", "/v1/jobs", list_jobs,
+              "Job listing fanned out over reachable nodes; ids rewritten to "
+              "gateway form."),
+        Route("GET", "/v1/jobs/<id>", job,
+              "Proxied job record; answers from the replica journal when the "
+              "node is gone."),
+        Route("GET", "/v1/jobs/<id>/result", job_result,
+              "Proxied result payload (409 while running or being failed over)."),
+        Route("GET", "/v1/jobs/<id>/trace", job_trace,
+              "Proxied span tree for the job's node-side trace."),
+        Route("POST", "/v1/campaign", submit,
+              "Canonicalize, route by digest, and proxy a campaign submission."),
+        Route("POST", "/v1/compress", submit,
+              "Canonicalize, route by digest, and proxy a compression job."),
+        Route("POST", "/v1/jobs", submit,
+              "Canonicalize, route by digest, and proxy a generic job submission."),
+        Route("POST", "/v1/jobs/<id>/cancel", cancel_job,
+              "Proxied cancel on the job's current node."),
+        Route("POST", "/v1/nodes", register_node,
+              "Node self-registration (`url`, `registry_digest`); 409 on "
+              "registry skew."),
+        Route("POST", "/v1/nodes/<id>/deregister", deregister,
+              "Graceful goodbye; leftover unfinished jobs fail over."),
+        Route("POST", "/v1/nodes/<id>/heartbeat", heartbeat,
+              "Node heartbeat carrying queue depth and registry digest."),
+        Route("POST", "/v1/nodes/<id>/journal", journal,
+              "Ingest checksummed journal lines into the node's replica."),
+    )
 
 
-class GatewayServer(ThreadingHTTPServer):
+#: The gateway's route names — snapshotted by ``scripts/check_api_surface.py``
+#: (``gateway_routes``) so the front-door surface is an explicit contract,
+#: like the node's ``V1_ROUTES``.
+GATEWAY_ROUTES = route_names(GatewayHandler.routes)
+
+
+class GatewayServer(HTTPServerBase):
     """HTTP gateway owning the node registry, hash ring, and replica store."""
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -574,16 +369,13 @@ class GatewayServer(ThreadingHTTPServer):
         sweep_interval: float | None = None,
         verbose: bool = False,
     ):
-        super().__init__(address, _GatewayHandler)
+        super().__init__(address, GatewayHandler, verbose)
         self.registry = registry if registry is not None else build_default_registry()
         self.registry_digest = compute_registry_digest(self.registry)
         self.nodes = NodeRegistry(
             self.registry_digest, suspect_after=suspect_after, dead_after=dead_after
         )
         self.quotas = quotas
-        self.verbose = verbose
-        self.draining = False
-        self.started_at = time.time()
         self.node_timeout = node_timeout
         self._tmpdir = None
         if state_dir is None:
@@ -607,32 +399,10 @@ class GatewayServer(ThreadingHTTPServer):
             daemon=True,
         )
         self._sweeper.start()
-        self._serving = False
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        with self._lock:
-            self._serving = True
-        try:
-            super().serve_forever(poll_interval)
-        finally:
-            with self._lock:
-                self._serving = False
-
-    def begin_drain(self) -> None:
-        """Flip ``GET /v1/readyz`` to 503 ahead of a graceful shutdown."""
-        self.draining = True
 
     def close(self) -> None:
         self._stop.set()
-        # BaseServer.shutdown() waits on an event only serve_forever() sets
-        # on exit; skip it for a gateway that never entered the serve loop.
-        if self._serving:
-            self.shutdown()
-        self.server_close()
+        self.stop_listening()
         self._sweeper.join(timeout=5.0)
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
@@ -682,33 +452,16 @@ class GatewayServer(ThreadingHTTPServer):
     # Canonicalization (must agree byte-for-byte with the nodes)
     # ------------------------------------------------------------------ #
 
-    def canonicalize(self, parts: list[str], body: dict):
+    def canonicalize(self, path: str, body: dict):
         """-> ``(job_type, canonical_params, digest, deadline_s)``.
 
-        Uses the node-shared canonicalizers, then merges the scenario's
-        defaults exactly as ``WorkerPool.submit`` does, so the digest the
-        gateway routes by equals the digest every (non-skewed) node will
-        answer with.  Raises ``ValueError`` on anything malformed.
+        ``path`` is the submission route (``/v1/jobs``, ``/v1/compress`` or
+        ``/v1/campaign``).  Uses the node-shared canonicalizers, then merges
+        the scenario's defaults exactly as ``WorkerPool.submit`` does, so the
+        digest the gateway routes by equals the digest every (non-skewed)
+        node will answer with.  Raises ``ValueError`` on anything malformed.
         """
-        if parts == ["compress"]:
-            submission, deadline_s = canonicalize_compress(body)
-            job_type = "codec_compress"
-        elif parts == ["campaign"]:
-            submission, deadline_s = canonicalize_campaign(body, self.registry)
-            job_type = "campaign"
-        else:
-            job_type = body.get("type")
-            if not isinstance(job_type, str):
-                raise ValueError('missing or non-string "type" field')
-            submission = body.get("params")
-            if submission is None:
-                submission = {}
-            if not isinstance(submission, dict):
-                raise ValueError('"params" must be a JSON object')
-            unknown = set(body) - {"type", "params", "deadline_s"}
-            if unknown:
-                raise ValueError(f"unknown field(s) {sorted(unknown)}")
-            deadline_s = _parse_deadline(body)
+        job_type, submission, deadline_s = canonicalize_submission(path, body, self.registry)
         declared = self.registry.get(job_type)  # ValueError on unknown types
         params = {**declared.defaults, **dict(submission)}
         return job_type, params, job_digest(job_type, params), deadline_s

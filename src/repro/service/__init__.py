@@ -2,8 +2,6 @@
 
 Turns the batch CLI into a servable system (``python -m repro.cli serve``):
 
-* :mod:`repro.service.cache` — content-hash result cache (LRU + optional
-  disk persistence) keyed by stable digests of job inputs.
 * :mod:`repro.service.jobs` — job records, lifecycle states, and the store.
 * :mod:`repro.service.journal` — append-only JSONL job journal replayed on
   restart, making the service durable.
@@ -12,13 +10,18 @@ Turns the batch CLI into a servable system (``python -m repro.cli serve``):
 * :mod:`repro.service.workers` — thread pool executing jobs with caching,
   in-flight deduplication, cancellation, per-job deadlines, and queue
   backpressure.
-* :mod:`repro.service.server` — pure-stdlib HTTP/JSON API.
+* :mod:`repro.service.http` — the one HTTP layer (handler and server base,
+  declarative route tables) under the node and the gateway.
+* :mod:`repro.service.server` — the node's HTTP/JSON API.
 * :mod:`repro.service.client` — stdlib HTTP client with retries/backoff,
   per-node circuit breaking, and typed errors (the substrate of federated
   campaign dispatch).
+
+The content-hash result cache (:mod:`repro.core.cache`) is re-exported here
+as ``ResultCache``, ``CacheStats`` and ``MISSING``.
 """
 
-from .cache import MISSING, CacheStats, ResultCache
+from ..core.cache import MISSING, CacheStats, ResultCache
 from .client import (
     CircuitBreaker,
     CircuitBreakerOpen,

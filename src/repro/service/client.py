@@ -249,10 +249,8 @@ class ServiceClient:
     or tune one); when it is open, :meth:`request` raises
     :class:`CircuitBreakerOpen` without touching the network.
 
-    The convenience methods talk to the versioned ``/v1`` API;
-    ``api_prefix=""`` pins a client to the deprecated legacy paths (for
-    talking to a pre-``/v1`` server).  ``request`` takes raw paths either
-    way.
+    The convenience methods talk to the versioned ``/v1`` API; ``request``
+    takes raw paths.
     """
 
     def __init__(
@@ -262,7 +260,6 @@ class ServiceClient:
         retries: int = 3,
         backoff: float = 0.2,
         sleep: Callable[[float], None] = time.sleep,
-        api_prefix: str = "/v1",
         breaker: CircuitBreaker | None = None,
         api_key: str | None = None,
     ):
@@ -273,7 +270,6 @@ class ServiceClient:
         self.retries = retries
         self.backoff = backoff
         self.api_key = api_key
-        self.api_prefix = api_prefix.rstrip("/")
         self._sleep = sleep
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._scenario_defaults: dict[str, dict] | None = None
@@ -407,21 +403,18 @@ class ServiceClient:
     # Endpoints
     # ------------------------------------------------------------------ #
 
-    def _path(self, path: str) -> str:
-        return f"{self.api_prefix}{path}"
-
     def health(self) -> dict:
-        return self.request("GET", self._path("/health"))
+        return self.request("GET", "/v1/health")
 
     def scenarios(self) -> list[dict]:
-        return self.request("GET", self._path("/scenarios"))["scenarios"]
+        return self.request("GET", "/v1/scenarios")["scenarios"]
 
     def codecs(self) -> list[dict]:
         """Codec discovery: names, versions, and parameter schemas."""
-        return self.request("GET", self._path("/codecs"))["codecs"]
+        return self.request("GET", "/v1/codecs")["codecs"]
 
     def cache_stats(self) -> dict:
-        return self.request("GET", self._path("/cache/stats"))
+        return self.request("GET", "/v1/cache/stats")
 
     def metrics(self, format: str | None = None) -> dict | str:
         """``GET /v1/metrics``: Prometheus text, or a dict with ``format="json"``.
@@ -430,8 +423,8 @@ class ServiceClient:
         cycle is the retry, and partial metric text is worse than none.
         """
         if format == "json":
-            return self.request("GET", self._path("/metrics?format=json"))
-        url = self.base_url + self._path("/metrics")
+            return self.request("GET", "/v1/metrics?format=json")
+        url = self.base_url + "/v1/metrics"
         request = urllib.request.Request(url, method="GET")
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
@@ -450,7 +443,7 @@ class ServiceClient:
 
     def job_trace(self, job_id: str) -> dict:
         """``GET /v1/jobs/<id>/trace`` — the job's span tree (see repro.obs)."""
-        return self.request("GET", self._path(f"/jobs/{job_id}/trace"))
+        return self.request("GET", f"/v1/jobs/{job_id}/trace")
 
     def submit(self, job_type: str, params: dict | None = None,
                wait: float | None = None, deadline_s: float | None = None) -> dict:
@@ -469,7 +462,7 @@ class ServiceClient:
         adopted this way is returned as-is — a ``wait=`` bound applies only
         to a fresh POST.)
         """
-        path = self._path("/jobs" if wait is None else f"/jobs?wait={wait}")
+        path = "/v1/jobs" if wait is None else f"/v1/jobs?wait={wait}"
         body: dict = {"type": job_type, "params": params or {}}
         if deadline_s is not None:
             body["deadline_s"] = deadline_s
@@ -508,7 +501,7 @@ class ServiceClient:
         return None
 
     def submit_campaign(self, spec: dict, jobs: int = 1, wait: float | None = None) -> dict:
-        path = self._path("/campaign" if wait is None else f"/campaign?wait={wait}")
+        path = "/v1/campaign" if wait is None else f"/v1/campaign?wait={wait}"
         return self.request("POST", path, {"spec": spec, "jobs": jobs})
 
     def compress(
@@ -531,18 +524,18 @@ class ServiceClient:
             body["params"] = params
         if stages is not None:
             body["stages"] = stages
-        path = self._path("/compress" if wait is None else f"/compress?wait={wait}")
+        path = "/v1/compress" if wait is None else f"/v1/compress?wait={wait}"
         return self.request("POST", path, body)
 
     def job(self, job_id: str) -> dict:
-        return self.request("GET", self._path(f"/jobs/{job_id}"))
+        return self.request("GET", f"/v1/jobs/{job_id}")
 
     def result(self, job_id: str) -> dict:
         """Full record of a finished job, including its result payload."""
-        return self.request("GET", self._path(f"/jobs/{job_id}/result"))
+        return self.request("GET", f"/v1/jobs/{job_id}/result")
 
     def cancel(self, job_id: str) -> dict:
-        return self.request("POST", self._path(f"/jobs/{job_id}/cancel"))
+        return self.request("POST", f"/v1/jobs/{job_id}/cancel")
 
     def jobs(self, state: str | None = None, offset: int | None = None,
              limit: int | None = None, digest: str | None = None) -> dict:
@@ -556,7 +549,7 @@ class ServiceClient:
             )
             if value is not None
         )
-        return self.request("GET", self._path("/jobs" + (f"?{query}" if query else "")))
+        return self.request("GET", "/v1/jobs" + (f"?{query}" if query else ""))
 
     def results(
         self,
@@ -587,13 +580,13 @@ class ServiceClient:
             params.append(("columns", ",".join(columns)))
         query = urllib.parse.urlencode(params)
         return self.request(
-            "GET", self._path("/results" + (f"?{query}" if query else ""))
+            "GET", "/v1/results" + (f"?{query}" if query else "")
         )
 
     def result_detail(self, digest: str) -> dict:
         """``GET /v1/results/<digest>``: one cell's full warehouse record."""
         return self.request(
-            "GET", self._path(f"/results/{urllib.parse.quote(digest, safe='')}")
+            "GET", f"/v1/results/{urllib.parse.quote(digest, safe='')}"
         )
 
     # ------------------------------------------------------------------ #

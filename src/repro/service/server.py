@@ -1,74 +1,37 @@
-"""Pure-stdlib HTTP/JSON API over the worker pool.
+"""The node's HTTP/JSON API over the worker pool.
 
-Built on ``http.server.ThreadingHTTPServer`` so the service needs nothing the
-repository does not already depend on.  The API is versioned: every endpoint
-lives under the ``/v1/`` prefix, and the historical unprefixed paths are kept
-as deprecated aliases that serve identical payloads plus a ``Deprecation:
-true`` header and a ``Link: </v1/...>; rel="successor-version"`` pointer.
-Endpoints introduced with the versioned API (``/v1/codecs``,
-``/v1/compress``) exist only under ``/v1``; the unversioned surface is
-frozen at the pre-``/v1`` route set.
+A thin subclass of the shared HTTP layer (:mod:`repro.service.http`): the
+node declares its route table and the handlers behind it; the envelope,
+metrics, spans and probes live in the base.  The generated
+``docs/http-api.md`` is the route reference.
 
-========  =========================  ==============================================
-Method    Path (under ``/v1``)       Meaning
-========  =========================  ==============================================
-GET       /v1/health                 liveness + uptime + pool stats
-GET       /v1/healthz                bare liveness probe (always 200)
-GET       /v1/readyz                 readiness: 503 until journal replay is
-                                     done and 503 again while draining
-GET       /v1/scenarios              the registry's job types and their canonical
-                                     default parameters (pre-submit validation)
-GET       /v1/codecs                 codec discovery: names, versions, and
-                                     parameter schemas (see :mod:`repro.codecs`)
-GET       /v1/cache/stats            cache hit/miss/eviction counters
-GET       /v1/jobs                   job summaries (``?state=``, ``?offset=``,
-                                     ``?limit=`` filter and paginate)
-GET       /v1/jobs/<id>              one job's status (no result)
-GET       /v1/jobs/<id>/result       finished job's full record incl. result
-GET       /v1/jobs/<id>/trace        the job's span tree (see :mod:`repro.obs`)
-GET       /v1/metrics                Prometheus text exposition of the process
-                                     metrics registry (``?format=json`` for JSON)
-POST      /v1/jobs                   submit ``{"type": ..., "params": {...}}``
-POST      /v1/jobs/<id>/cancel       cancel a still-queued job
-POST      /v1/compress               compress with a registered codec/pipeline
-                                     (validated, then a ``codec_compress`` job)
-POST      /v1/campaign               submit a declarative campaign spec
-========  =========================  ==============================================
-
-``POST /v1/compress`` accepts ``{"codec": ..., "params": {...}}`` or
-``{"stages": [...]}`` plus optional tensor-source fields
-(``rows``/``cols``/``seed``/``scale``); the codec name and parameters are
-validated against the codec registry before submission, so typos are a 400,
-not a failed job.
-
-``POST /campaign`` accepts either a campaign spec object directly or
-``{"spec": {...}, "jobs": N}``; the spec is validated before submission (bad
-specs are a 400, not a failed job) and the job's result is the campaign's
-aggregate report.
-
-``POST /jobs?wait=<seconds>`` blocks (bounded) until the job finishes and then
-includes the result — handy for synchronous clients; everyone else polls
-``/jobs/<id>``.  Responses are strict JSON (no NaN), UTF-8 encoded.
-
-Every failure mode answers with a JSON error envelope: malformed bodies,
-headers, and query parameters are 4xx, a saturated queue is 429, and any
-unexpected handler exception is a 500 — never an HTML traceback, and never a
-silently dropped keep-alive connection.
+``POST /v1/jobs``, ``/v1/compress`` and ``/v1/campaign`` validate their
+bodies before submission (typos are a 400, not a failed job), and
+``?wait=<seconds>`` blocks (bounded) until the job finishes and then includes
+the result — handy for synchronous clients; everyone else polls
+``/v1/jobs/<id>``.  A saturated queue is a 429 with ``Retry-After``.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
 
-from ..chaos.plan import maybe_fail
+from ..core.cache import ResultCache
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_metrics
 from ..obs.trace import TraceLog
-from .cache import ResultCache
+from .http import (
+    API_VERSION,
+    HTTPError,
+    HTTPHandler,
+    HTTPServerBase,
+    Route,
+    parse_json_body,
+    parse_non_negative_int,
+    parse_wait,
+    retry_after_header,
+    route_names,
+)
 from .jobs import JobState
 from .journal import JobJournal
 from .registry import ScenarioRegistry, build_default_registry
@@ -76,51 +39,15 @@ from .workers import QueueFullError, WorkerPool
 
 __all__ = [
     "API_VERSION",
+    "NodeHandler",
     "ReproServer",
     "V1_ROUTES",
     "canonicalize_campaign",
     "canonicalize_compress",
+    "canonicalize_job",
+    "canonicalize_submission",
     "create_server",
 ]
-
-#: Current (only) version of the HTTP API; the path prefix is ``/v1``.
-API_VERSION = "v1"
-
-#: The versioned route table — the public API surface contract.  The
-#: ``scripts/check_api_surface.py`` CI guard snapshots this list, so adding,
-#: removing, or renaming a route is an explicit, reviewed change.
-V1_ROUTES = (
-    "GET /v1/cache/stats",
-    "GET /v1/codecs",
-    "GET /v1/health",
-    "GET /v1/healthz",
-    "GET /v1/jobs",
-    "GET /v1/jobs/<id>",
-    "GET /v1/jobs/<id>/result",
-    "GET /v1/jobs/<id>/trace",
-    "GET /v1/metrics",
-    "GET /v1/readyz",
-    "GET /v1/results",
-    "GET /v1/results/<digest>",
-    "GET /v1/scenarios",
-    "POST /v1/campaign",
-    "POST /v1/compress",
-    "POST /v1/jobs",
-    "POST /v1/jobs/<id>/cancel",
-)
-
-#: Root path segments of the pre-``/v1`` API.  Only these are served as
-#: deprecated unprefixed aliases; endpoints introduced with the versioned API
-#: (``/v1/codecs``, ``/v1/compress``) exist exclusively under ``/v1`` so the
-#: unversioned surface can never grow.
-LEGACY_ALIAS_ROOTS = frozenset({"cache", "campaign", "health", "jobs", "scenarios"})
-
-#: Upper bound on ``?wait=`` so a client cannot pin a handler thread forever.
-MAX_WAIT_SECONDS = 300.0
-
-#: Upper bound on request bodies (a campaign spec is a few KiB; anything in
-#: the tens of MiB is a mistake or abuse and must not balloon the heap).
-MAX_BODY_BYTES = 16 * 1024 * 1024
 
 _OBS = get_metrics()
 _HTTP_REQUESTS = _OBS.counter(
@@ -134,26 +61,6 @@ _HTTP_SECONDS = _OBS.histogram(
     ("route",),
 )
 
-_V1_ROUTE_SET = frozenset(V1_ROUTES)
-
-
-def _route_label(method: str, parts: list[str]) -> str:
-    """Map a request to its route *pattern* so metric labels stay bounded.
-
-    Job ids collapse to ``<id>``; anything that matches no declared route
-    (bad paths, probes, scanners) collapses to one ``unrouted`` label instead
-    of minting a series per attacker-chosen path.
-    """
-    normalized = list(parts)
-    if len(normalized) >= 2 and normalized[0] == "jobs":
-        normalized[1] = "<id>"
-    if len(normalized) == 2 and normalized[0] == "results":
-        normalized[1] = "<digest>"
-    candidate = "/v1/" + "/".join(normalized)
-    if f"{method} {candidate}" in _V1_ROUTE_SET:
-        return candidate
-    return "unrouted"
-
 
 def _parse_deadline(body: dict) -> float | None:
     """Validate an optional ``deadline_s`` submission field (seconds > 0)."""
@@ -163,6 +70,27 @@ def _parse_deadline(body: dict) -> float | None:
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
         raise ValueError('"deadline_s" must be a positive number of seconds')
     return float(value)
+
+
+def canonicalize_job(body: dict) -> tuple[str, dict, float | None]:
+    """Validate one ``POST /v1/jobs`` body -> ``(job_type, params, deadline_s)``.
+
+    Shared by the node's submit route and the gateway front door.  The job
+    type itself is checked (and its defaults merged) by whoever submits.
+    Raises ``ValueError`` on anything malformed.
+    """
+    job_type = body.get("type")
+    if not isinstance(job_type, str):
+        raise ValueError('missing or non-string "type" field')
+    params = body.get("params")
+    if params is None:
+        params = {}
+    if not isinstance(params, dict):
+        raise ValueError('"params" must be a JSON object')
+    unknown = set(body) - {"type", "params", "deadline_s"}
+    if unknown:
+        raise ValueError(f"unknown field(s) {sorted(unknown)}")
+    return job_type, params, _parse_deadline(body)
 
 
 def canonicalize_compress(body: dict) -> tuple[dict, float | None]:
@@ -253,322 +181,98 @@ def canonicalize_campaign(body: dict, registry: ScenarioRegistry) -> tuple[dict,
     return {"spec": spec, "jobs": jobs}, deadline_s
 
 
-class _HTTPError(Exception):
-    """A client error the handler turns into a JSON error response.
+def canonicalize_submission(
+    path: str, body: dict, registry: ScenarioRegistry
+) -> tuple[str, dict, float | None]:
+    """Validate the body of a submission route -> ``(job_type, params, deadline_s)``.
 
-    ``close`` forces ``Connection: close``: raised when the request body
-    could not be (fully) drained, so the keep-alive byte stream is no longer
-    trustworthy for a next request.
+    ``path`` is the matched route pattern (``/v1/jobs``, ``/v1/compress`` or
+    ``/v1/campaign``); the node and the gateway both submit through here, so
+    they agree on every job's canonical form.
     """
+    if path == "/v1/compress":
+        submission, deadline_s = canonicalize_compress(body)
+        return "codec_compress", submission, deadline_s
+    if path == "/v1/campaign":
+        params, deadline_s = canonicalize_campaign(body, registry)
+        return "campaign", params, deadline_s
+    return canonicalize_job(body)
 
-    def __init__(self, status: int, message: str, close: bool = False):
-        super().__init__(message)
-        self.status = status
-        self.message = message
-        self.close = close
 
-
-class _RequestHandler(BaseHTTPRequestHandler):
+class NodeHandler(HTTPHandler):
     server: "ReproServer"
     server_version = "repro-service/1.0"
-    protocol_version = "HTTP/1.1"
+    chaos_point = "server.request"
 
-    # ------------------------------------------------------------------ #
-    # Plumbing
-    # ------------------------------------------------------------------ #
+    def record_request(self, route: str, status: int, seconds: float) -> None:
+        _HTTP_SECONDS.observe(seconds, route=route)
+        _HTTP_REQUESTS.inc(method=self.command, route=route, status=str(status))
 
-    def log_message(self, format: str, *args) -> None:
-        if self.server.verbose:
-            super().log_message(format, *args)
+    def error_response(self, error: Exception):
+        if isinstance(error, QueueFullError):
+            payload = {
+                "error": str(error),
+                "max_queued": error.limit,
+                "retry_after": error.retry_after,
+            }
+            return 429, payload, retry_after_header(error.retry_after)
+        return None
 
-    def _send_json(
-        self, status: int, payload: dict, extra_headers: dict[str, str] | None = None
-    ) -> None:
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        self._send_body(
-            status, body, "application/json; charset=utf-8", extra_headers
-        )
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        self._send_body(status, text.encode("utf-8"), content_type)
-
-    def _send_body(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        self._observed_status = status  # feeds the request metrics/span
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        successor = getattr(self, "_successor_path", None)
-        if successor is not None:
-            # Served from a legacy unprefixed path: identical payload, but
-            # clients are told where the supported route lives.
-            self.send_header("Deprecation", "true")
-            self.send_header("Link", f'<{successor}>; rel="successor-version"')
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _split_path(self, url) -> list[str]:
-        """Path segments with the ``/v1`` prefix stripped.
-
-        Requests on unprefixed *legacy* paths (:data:`LEGACY_ALIAS_ROOTS`)
-        are flagged so every response (whatever its status) carries the
-        deprecation headers; any other unprefixed path routes nowhere (404),
-        so new ``/v1``-only endpoints never leak onto the unversioned
-        surface.
-        """
-        parts = [part for part in url.path.split("/") if part]
-        self._successor_path = None
-        if parts and parts[0] == API_VERSION:
-            return parts[1:]
-        if parts and parts[0] in LEGACY_ALIAS_ROOTS:
-            self._successor_path = f"/{API_VERSION}{url.path}"
-            return parts
-        return ["", *parts]  # unrouted namespace -> no handler matches -> 404
-
-    def _drain_body(self) -> bytes:
-        """Always consume the request body: on a keep-alive connection,
-        unread bytes would be parsed as the next request line."""
-        raw_length = self.headers.get("Content-Length")
-        try:
-            length = int(raw_length) if raw_length is not None else 0
-        except ValueError:
-            # The body length is unknowable, so the body cannot be drained;
-            # answer 400 and drop the (now unparseable) connection.
-            raise _HTTPError(
-                400, f"invalid Content-Length header {raw_length!r}", close=True
-            ) from None
-        if length < 0:
-            raise _HTTPError(
-                400, f"invalid Content-Length header {raw_length!r}", close=True
-            )
-        if length > MAX_BODY_BYTES:
-            raise _HTTPError(
-                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}",
-                close=True,
-            )
-        return self.rfile.read(length) if length else b""
-
-    def _parse_json_body(self, raw: bytes) -> dict:
-        if not raw:
-            raise ValueError("empty request body; expected a JSON object")
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"invalid JSON body: {error}") from None
-        if not isinstance(body, dict):
-            raise ValueError("request body must be a JSON object")
-        return body
-
-    def _handle(self, route) -> None:
-        """Run one route with the error envelope every response path shares.
-
-        Guarantees a JSON response (or a deliberately closed connection) for
-        every outcome: expected client errors (:class:`_HTTPError`), a full
-        queue (429), handler bugs and unserializable results (500), and a
-        client that disconnected mid-response (swallowed — there is nobody
-        left to answer).
-
-        It is also the observability choke point: every request is timed
-        into the HTTP metric families under its route *pattern*, and runs
-        inside an ``http.request`` span — joined to the caller's trace when
-        the request carried an ``X-Repro-Trace`` header, freshly minted
-        otherwise — so jobs submitted by the route become its children.
-        """
-        url = urlsplit(self.path)
-        route_label = _route_label(self.command, self._split_path(url))
-        self._observed_status = 0  # 0 = connection died before a response
-        request_span = obs_trace.start_span(
-            "http.request",
-            attrs={"method": self.command, "route": route_label, "path": url.path},
-            parent=obs_trace.parse_traceparent(
-                self.headers.get(obs_trace.TRACE_HEADER)
-            ),
-        )
-        started = time.perf_counter()
-        try:
-            with obs_trace.activate(request_span):
-                self._dispatch_route(route)
-        finally:
-            status = self._observed_status
-            request_span.set_attr("status", status)
-            request_span.finish(status="error" if status >= 500 or status == 0 else "ok")
-            _HTTP_SECONDS.observe(time.perf_counter() - started, route=route_label)
-            _HTTP_REQUESTS.inc(
-                method=self.command, route=route_label, status=str(status)
-            )
-
-    def _dispatch_route(self, route) -> None:
-        try:
-            maybe_fail("server.request")
-            route()
-        except _HTTPError as error:
-            if error.close:
-                self.close_connection = True
-            self._send_json(error.status, {"error": error.message})
-        except QueueFullError as error:
-            # The Retry-After header is the integer-ceiled form of the pool's
-            # hint (the header grammar wants whole seconds); the JSON body
-            # carries the precise float for clients that parse it.
-            self._send_json(
-                429,
-                {
-                    "error": str(error),
-                    "max_queued": error.limit,
-                    "retry_after": error.retry_after,
-                },
-                extra_headers={
-                    "Retry-After": str(max(1, math.ceil(error.retry_after)))
-                },
-            )
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True  # client went away; nothing to send
-        except Exception as error:  # noqa: BLE001 - last-resort envelope
-            # The response may be half-written and the request half-read;
-            # answer on a best-effort basis and retire the connection.
-            self.close_connection = True
-            try:
-                self._send_json(
-                    500,
-                    {"error": f"internal server error: {type(error).__name__}: {error}"},
-                )
-            except (BrokenPipeError, ConnectionResetError, OSError, ValueError, TypeError):
-                pass
+    def not_ready_reason(self) -> str | None:
+        return None if self.server.ready else "replaying journal"
 
     # ------------------------------------------------------------------ #
     # Routes
     # ------------------------------------------------------------------ #
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._successor_path = None  # reset per request (keep-alive reuse)
-        self._handle(self._route_get)
+    def health(self) -> None:
+        self.send_json(
+            200,
+            {
+                "status": "ok",
+                "api_version": API_VERSION,
+                "uptime_seconds": time.time() - self.server.started_at,
+                "scenarios": len(self.server.registry),
+                "journal": self.server.journal is not None,
+                "pool": self.server.pool.stats(),
+            },
+        )
 
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        self._successor_path = None
-        self._handle(self._route_post)
+    def cache_stats(self) -> None:
+        self.send_json(200, self.server.pool.cache.stats())
 
-    def _route_get(self) -> None:
-        url = urlsplit(self.path)
-        parts = self._split_path(url)
-        pool = self.server.pool
+    def _job(self, job_id: str):
+        job = self.server.pool.store.get(job_id)
+        if job is None:
+            raise HTTPError(404, f"no such job {job_id!r}")
+        return job
 
-        if parts == ["health"]:
-            self._send_json(
-                200,
-                {
-                    "status": "ok",
-                    "api_version": API_VERSION,
-                    "uptime_seconds": time.time() - self.server.started_at,
-                    "scenarios": len(self.server.registry),
-                    "journal": self.server.journal is not None,
-                    "pool": pool.stats(),
-                },
-            )
-        elif parts == ["healthz"]:
-            # Liveness: answers 200 for as long as the process can serve at
-            # all — registries and orchestrators use it to tell "slow" from
-            # "gone".  (/v1-only: "healthz" is not a legacy alias root.)
-            self._send_json(200, {"status": "alive"})
-        elif parts == ["readyz"]:
-            self._send_readyz()
-        elif parts == ["scenarios"]:
-            self._send_json(200, {"scenarios": self.server.registry.describe()})
-        elif parts == ["codecs"]:
-            from .. import codecs
+    def job(self, job_id: str) -> None:
+        self.send_json(200, self._job(job_id).to_dict())
 
-            self._send_json(
-                200,
-                {
-                    "api_version": API_VERSION,
-                    "codecs": codecs.describe_codecs(),
-                },
-            )
-        elif parts == ["cache", "stats"]:
-            self._send_json(200, pool.cache.stats())
-        elif parts == ["metrics"]:
-            self._send_metrics(url.query)
-        elif parts == ["jobs"]:
-            self._send_json(200, self._list_jobs(url.query))
-        elif parts == ["results"]:
-            self._send_json(200, self._list_results(url.query))
-        elif len(parts) == 2 and parts[0] == "results":
-            self._send_result_detail(parts[1])
-        elif len(parts) in (2, 3) and parts[0] == "jobs":
-            job = pool.store.get(parts[1])
-            if job is None:
-                self._send_json(404, {"error": f"no such job {parts[1]!r}"})
-            elif len(parts) == 2:
-                self._send_json(200, job.to_dict())
-            elif parts[2] == "result":
-                if not job.state.finished:
-                    # The envelope's "error" must win over the job record's
-                    # (None) error field, so it is merged last.
-                    self._send_json(409, {**job.to_dict(), "error": "job not finished"})
-                else:
-                    self._send_json(200, job.to_dict(include_result=True))
-            elif parts[2] == "trace" and self._successor_path is None:
-                # /v1-only (like /v1/codecs): the unversioned surface is
-                # frozen, so the trace endpoint has no legacy alias.
-                self._send_job_trace(job)
-            else:
-                self._send_json(404, {"error": f"no such endpoint {url.path!r}"})
+    def job_result(self, job_id: str) -> None:
+        job = self._job(job_id)
+        if not job.state.finished:
+            # The envelope's "error" must win over the job record's (None)
+            # error field, so it is merged last.
+            self.send_json(409, {**job.to_dict(), "error": "job not finished"})
         else:
-            self._send_json(404, {"error": f"no such endpoint {url.path!r}"})
+            self.send_json(200, job.to_dict(include_result=True))
 
-    def _send_readyz(self) -> None:
-        """``GET /v1/readyz``: readiness, distinct from liveness.
-
-        503 while the node is still replaying its journal (jobs submitted
-        before the restart are not yet visible) and once a graceful drain has
-        begun (the node answers, but new work should go elsewhere) — the
-        externally visible "draining" signal SIGTERM previously lacked.
-        """
-        if self.server.draining:
-            self._send_json(503, {"ready": False, "reason": "draining"})
-        elif not self.server.ready:
-            self._send_json(503, {"ready": False, "reason": "replaying journal"})
-        else:
-            self._send_json(200, {"ready": True})
-
-    def _send_metrics(self, query_string: str) -> None:
-        """``GET /v1/metrics``: Prometheus text by default, ``?format=json``."""
-        query = parse_qs(query_string)
-        fmt = query.get("format", ["prometheus"])[0]
-        registry = get_metrics()
-        if fmt == "json":
-            self._send_json(200, registry.to_jsonable())
-        elif fmt in ("prometheus", "text"):
-            self._send_text(
-                200,
-                registry.render_prometheus(),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-        else:
-            raise _HTTPError(
-                400, f'invalid "format" {fmt!r}; one of ["json", "prometheus"]'
-            )
-
-    def _send_job_trace(self, job) -> None:
-        """``GET /v1/jobs/<id>/trace``: the job's span tree, best-effort.
+    def job_trace(self, job_id: str) -> None:
+        """The job's span tree, best-effort.
 
         Spans come from the in-memory ring buffer, so a very old job may
         answer with an empty tree — the trace id is still returned so the
         caller can grep the JSONL trace log.
         """
+        job = self._job(job_id)
         spans = (
             self.server.recorder.buffer.spans_for_trace(job.trace_id)
             if job.trace_id
             else []
         )
-        self._send_json(
+        self.send_json(
             200,
             {
                 "job_id": job.job_id,
@@ -579,56 +283,31 @@ class _RequestHandler(BaseHTTPRequestHandler):
             },
         )
 
-    def _route_post(self) -> None:
-        url = urlsplit(self.path)
-        raw = self._drain_body()
-        parts = self._split_path(url)
-        if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
-            self._cancel_job(parts[1])
-            return
-        if parts not in (["jobs"], ["campaign"], ["compress"]):
-            self._send_json(404, {"error": f"no such endpoint {url.path!r}"})
-            return
+    def submit(self) -> None:
+        """Validate, enqueue, and optionally wait for one submission."""
+        wait_seconds = parse_wait(self.query)
+        body = parse_json_body(self.body)
+        pool = self.server.pool
         try:
-            wait_seconds = self._parse_wait(url.query)
-            body = self._parse_json_body(raw)
-            if parts == ["campaign"]:
-                job = self._submit_campaign(body)
-            elif parts == ["compress"]:
-                job = self._submit_compress(body)
-            else:
-                job_type = body.get("type")
-                if not isinstance(job_type, str):
-                    raise ValueError('missing or non-string "type" field')
-                params = body.get("params")
-                if params is None:
-                    params = {}
-                if not isinstance(params, dict):
-                    raise ValueError('"params" must be a JSON object')
-                unknown = set(body) - {"type", "params", "deadline_s"}
-                if unknown:
-                    raise ValueError(f"unknown field(s) {sorted(unknown)}")
-                job = self.server.pool.submit(
-                    job_type, params, deadline_s=_parse_deadline(body)
-                )
+            job_type, params, deadline_s = canonicalize_submission(
+                self.route.pattern, body, pool.registry
+            )
+            job = pool.submit(job_type, params, deadline_s=deadline_s)
         except ValueError as error:
-            self._send_json(400, {"error": str(error)})
-            return
-
+            raise HTTPError(400, str(error)) from None
         if wait_seconds is not None:
             job.wait(wait_seconds)
-        finished = job.state.finished
-        status = 200 if finished else 202
-        self._send_json(status, job.to_dict(include_result=job.state is JobState.DONE))
+        status = 200 if job.state.finished else 202
+        self.send_json(status, job.to_dict(include_result=job.state is JobState.DONE))
 
-    def _cancel_job(self, job_id: str) -> None:
+    def cancel_job(self, job_id: str) -> None:
         job = self.server.pool.cancel(job_id)
         if job is None:
-            self._send_json(404, {"error": f"no such job {job_id!r}"})
+            self.send_json(404, {"error": f"no such job {job_id!r}"})
         elif job.state is JobState.CANCELLED:
-            self._send_json(200, job.to_dict())
+            self.send_json(200, job.to_dict())
         else:
-            self._send_json(
+            self.send_json(
                 409,
                 {
                     **job.to_dict(),
@@ -638,48 +317,39 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 },
             )
 
-    def _list_jobs(self, query_string: str) -> dict:
-        """``GET /jobs`` with optional ``state``/``digest``/``offset``/``limit``.
+    def list_jobs(self) -> None:
+        """``GET /v1/jobs`` with optional ``state``/``digest``/``offset``/``limit``.
 
         ``digest=`` filters to the jobs with that exact content digest — the
         reconcile hook for a client whose submit timed out after the server
         accepted it (and the gateway's cross-node job lookup).
         """
-        query = parse_qs(query_string)
+        query = self.query
         state: JobState | None = None
         if "state" in query:
             try:
                 state = JobState(query["state"][0])
             except ValueError:
                 choices = sorted(s.value for s in JobState)
-                raise _HTTPError(
+                raise HTTPError(
                     400, f'invalid "state" {query["state"][0]!r}; one of {choices}'
                 ) from None
-        offset = self._parse_non_negative_int(query, "offset", 0)
-        limit = self._parse_non_negative_int(query, "limit", None)
+        offset = parse_non_negative_int(query, "offset", 0)
+        limit = parse_non_negative_int(query, "limit", None)
         jobs = self.server.pool.store.jobs(state=state)
         if "digest" in query:
             digest = query["digest"][0]
             jobs = [job for job in jobs if job.digest == digest]
         window = jobs[offset:] if limit is None else jobs[offset:offset + limit]
-        return {
-            "jobs": [job.to_dict() for job in window],
-            "total": len(jobs),
-            "offset": offset,
-            "limit": limit,
-        }
-
-    @staticmethod
-    def _parse_non_negative_int(query: dict, key: str, default):
-        if key not in query:
-            return default
-        try:
-            value = int(query[key][0])
-        except ValueError:
-            raise _HTTPError(400, f'invalid "{key}" value {query[key][0]!r}') from None
-        if value < 0:
-            raise _HTTPError(400, f'"{key}" must be >= 0, got {value}')
-        return value
+        self.send_json(
+            200,
+            {
+                "jobs": [job.to_dict() for job in window],
+                "total": len(jobs),
+                "offset": offset,
+                "limit": limit,
+            },
+        )
 
     def _warehouse_connection(self):
         """Open the configured warehouse read-only, or fail with an envelope.
@@ -693,21 +363,21 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
         path = self.server.warehouse_path
         if path is None:
-            raise _HTTPError(
+            raise HTTPError(
                 503, "no warehouse configured; start the server with --warehouse PATH"
             )
         try:
             return warehouse.connect_readonly(path)
         except FileNotFoundError:
-            raise _HTTPError(
+            raise HTTPError(
                 503,
                 f"warehouse database {path} does not exist yet; "
                 "run `repro warehouse ingest` first",
             ) from None
         except warehouse.SchemaError as error:
-            raise _HTTPError(500, str(error)) from None
+            raise HTTPError(500, str(error)) from None
 
-    def _list_results(self, query_string: str) -> dict:
+    def list_results(self) -> None:
         """``GET /v1/results``: filtered warehouse rows, paginated like /v1/jobs.
 
         Query parameters: repeatable ``where=NAME OP VALUE`` filters,
@@ -717,24 +387,24 @@ class _RequestHandler(BaseHTTPRequestHandler):
         """
         from .. import warehouse
 
-        query = parse_qs(query_string)
+        query = self.query
         unknown = set(query) - {"where", "sort", "order", "offset", "limit", "columns"}
         if unknown:
-            raise _HTTPError(400, f"unknown query parameter(s) {sorted(unknown)}")
+            raise HTTPError(400, f"unknown query parameter(s) {sorted(unknown)}")
         order = query.get("order", ["asc"])[0]
         if order not in ("asc", "desc"):
-            raise _HTTPError(400, f'invalid "order" {order!r}; one of ["asc", "desc"]')
-        offset = self._parse_non_negative_int(query, "offset", 0)
-        limit = self._parse_non_negative_int(query, "limit", None)
+            raise HTTPError(400, f'invalid "order" {order!r}; one of ["asc", "desc"]')
+        offset = parse_non_negative_int(query, "offset", 0)
+        limit = parse_non_negative_int(query, "limit", None)
         columns = None
         if "columns" in query:
             columns = [c.strip() for c in query["columns"][0].split(",") if c.strip()]
             if not columns:
-                raise _HTTPError(400, '"columns" must name at least one column')
+                raise HTTPError(400, '"columns" must name at least one column')
         try:
             filters = warehouse.parse_filters(query.get("where", []))
         except warehouse.QueryError as error:
-            raise _HTTPError(400, str(error)) from None
+            raise HTTPError(400, str(error)) from None
         conn = self._warehouse_connection()
         try:
             rows, total = warehouse.query_cells(
@@ -747,12 +417,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 columns=columns,
             )
         except warehouse.QueryError as error:
-            raise _HTTPError(400, str(error)) from None
+            raise HTTPError(400, str(error)) from None
         finally:
             conn.close()
-        return {"results": rows, "total": total, "offset": offset, "limit": limit}
+        self.send_json(
+            200, {"results": rows, "total": total, "offset": offset, "limit": limit}
+        )
 
-    def _send_result_detail(self, digest: str) -> None:
+    def result_detail(self, digest: str) -> None:
         """``GET /v1/results/<digest>``: one cell's full warehouse record."""
         from .. import warehouse
 
@@ -762,46 +434,46 @@ class _RequestHandler(BaseHTTPRequestHandler):
         finally:
             conn.close()
         if record is None:
-            self._send_json(404, {"error": f"no such result {digest!r}"})
+            self.send_json(404, {"error": f"no such result {digest!r}"})
         else:
-            self._send_json(200, record)
+            self.send_json(200, record)
 
-    def _submit_campaign(self, body: dict):
-        """Validate and enqueue one ``POST /campaign`` request."""
-        params, deadline_s = canonicalize_campaign(body, self.server.pool.registry)
-        return self.server.pool.submit("campaign", params, deadline_s=deadline_s)
-
-    def _submit_compress(self, body: dict):
-        """Validate and enqueue one ``POST /v1/compress`` request.
-
-        Validation happens in :func:`canonicalize_compress`, so an unknown
-        codec or a parameter typo is a 400 on the request instead of a FAILED
-        job.
-        """
-        submission, deadline_s = canonicalize_compress(body)
-        return self.server.pool.submit(
-            "codec_compress", submission, deadline_s=deadline_s
-        )
-
-    @staticmethod
-    def _parse_wait(query_string: str) -> float | None:
-        """Parse ``?wait=<seconds>``; invalid values are a client error."""
-        query = parse_qs(query_string)
-        if "wait" not in query:
-            return None
-        try:
-            wait_seconds = float(query["wait"][0])
-        except (TypeError, ValueError):
-            raise ValueError(f'invalid "wait" value {query["wait"][0]!r}') from None
-        if math.isnan(wait_seconds):
-            raise ValueError('"wait" must not be NaN')
-        return min(max(wait_seconds, 0.0), MAX_WAIT_SECONDS)
+    routes = HTTPHandler.routes + (
+        Route("GET", "/v1/cache/stats", cache_stats,
+              "Result-cache occupancy and hit/miss counters."),
+        Route("GET", "/v1/health", health,
+              "Liveness, uptime, scenario count, worker-pool stats."),
+        Route("GET", "/v1/jobs", list_jobs,
+              "List jobs; `state`, `digest`, `offset`, `limit` query params."),
+        Route("GET", "/v1/jobs/<id>", job,
+              "One job's record (state, timings, provenance digest)."),
+        Route("GET", "/v1/jobs/<id>/result", job_result,
+              "The finished job's result payload (409 while running)."),
+        Route("GET", "/v1/jobs/<id>/trace", job_trace,
+              "The job's span tree from the trace ring buffer."),
+        Route("GET", "/v1/results", list_results,
+              "Query the results warehouse; see "
+              "[docs/query-cookbook.md](query-cookbook.md)."),
+        Route("GET", "/v1/results/<digest>", result_detail,
+              "One warehoused cell: params, result payload, metric leaves."),
+        Route("POST", "/v1/campaign", submit,
+              "Submit a whole campaign spec as one job."),
+        Route("POST", "/v1/compress", submit,
+              "One-shot codec compression of a synthetic matrix."),
+        Route("POST", "/v1/jobs", submit,
+              "Submit a job (`type`, `params`, optional `deadline_s`)."),
+        Route("POST", "/v1/jobs/<id>/cancel", cancel_job,
+              "Cancel a job that no worker has picked up yet."),
+    )
 
 
-class ReproServer(ThreadingHTTPServer):
+#: The node's versioned route names — the public API surface contract,
+#: snapshotted by ``scripts/check_api_surface.py``.
+V1_ROUTES = route_names(NodeHandler.routes)
+
+
+class ReproServer(HTTPServerBase):
     """HTTP server owning the registry, cache, worker pool, and journal."""
-
-    daemon_threads = True
 
     def __init__(
         self,
@@ -816,13 +488,12 @@ class ReproServer(ThreadingHTTPServer):
         trace_log: TraceLog | None = None,
         warehouse_path: str | None = None,
     ):
-        super().__init__(address, _RequestHandler)
+        super().__init__(address, NodeHandler, verbose)
         self.registry = registry
         self.journal = journal
         #: Readiness state surfaced by ``GET /v1/readyz``: not ready until
-        #: journal replay finished, and never again once a drain began.
+        #: journal replay finished.
         self.ready = False
-        self.draining = False
         #: Where ``GET /v1/results`` reads from (read-only); ``None`` -> 503.
         self.warehouse_path = warehouse_path
         # Spans already flow to the process-wide in-memory ring; a trace log
@@ -843,37 +514,6 @@ class ReproServer(ThreadingHTTPServer):
         if journal is not None:
             self.replay_stats = journal.replay(self.pool)
         self.ready = True
-        self.started_at = time.time()
-        self.verbose = verbose
-        self._serving = False
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        self._serving = True
-        try:
-            super().serve_forever(poll_interval)
-        finally:
-            self._serving = False
-
-    def _stop_listening(self) -> None:
-        # BaseServer.shutdown() waits on an event that only serve_forever()
-        # sets on exit; calling it on a server that never served (e.g. the
-        # CLI's failed-registration path) would block forever.
-        if self._serving:
-            self.shutdown()
-        self.server_close()
-
-    def begin_drain(self) -> None:
-        """Flip ``GET /v1/readyz`` to 503 ahead of a graceful shutdown.
-
-        Called by the CLI's signal handler *before* the listener stops, so a
-        registry or load balancer polling readyz sees "draining" while the
-        node still answers, instead of a hard connection refusal.
-        """
-        self.draining = True
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting requests and shut the worker pool down.
@@ -881,7 +521,7 @@ class ReproServer(ThreadingHTTPServer):
         ``wait=False`` abandons in-flight jobs instead of draining them
         (the CLI uses this so Ctrl-C exits promptly).
         """
-        self._stop_listening()
+        self.stop_listening()
         self.pool.shutdown(wait=wait)
         if self.journal is not None:
             self.journal.close()
@@ -901,7 +541,7 @@ class ReproServer(ThreadingHTTPServer):
         self.draining = True
         with self.pool._lock:
             inflight = len(self.pool._inflight)
-        self._stop_listening()
+        self.stop_listening()
         self.pool.shutdown(wait=True, cancel_pending=True)
         counts = self.pool.store.counts()
         requeued = counts.get("queued", 0) + counts.get("running", 0)

@@ -3,7 +3,7 @@
 Covers the invariants every registered codec must satisfy (round trip,
 finite uniform metrics, cross-process digest stability), the pipeline codec,
 the campaign ``codec:``/``pipeline:`` sugar end-to-end, the ``/v1`` HTTP
-routes with their legacy deprecated aliases, and the API-surface guard.
+routes (unprefixed paths answer 404), and the API-surface guard.
 """
 
 from __future__ import annotations
@@ -522,28 +522,24 @@ class TestVersionedHTTPAPI:
         assert sparse["digest"] == spelled["digest"]
         assert spelled["cache_hit"]
 
-    def test_v1_jobs_and_health_mirror_legacy(self, base):
+    def test_v1_jobs_and_health(self, base):
         status, headers, payload = http(base, "/v1/health")
         assert status == 200 and payload["api_version"] == "v1"
         assert "Deprecation" not in headers
-        status, _, v1_jobs = http(base, "/v1/jobs")
-        status_legacy, _, legacy_jobs = http(base, "/jobs")
-        assert status == status_legacy == 200
-        assert v1_jobs["total"] == legacy_jobs["total"]
+        assert http(base, "/v1/jobs")[0] == 200
 
-    def test_legacy_routes_carry_deprecation_headers(self, base):
-        for path in ("/health", "/scenarios", "/cache/stats", "/jobs"):
-            status, headers, _ = http(base, path)
-            assert status == 200
-            assert headers.get("Deprecation") == "true"
-            assert f"/v1{path}" in headers.get("Link", "")
-        # Legacy POST routes answer with the header too.
-        status, headers, _ = http(base, "/jobs?wait=120", {
+    def test_unprefixed_paths_answer_json_404(self, base):
+        """The pre-/v1 aliases are gone: a plain JSON 404, no deprecation headers."""
+        requests = [(path, None) for path in ("/health", "/jobs", "/cache/stats")]
+        requests.append(("/jobs", {
             "type": "codec_compress",
             "params": {"codec": "ptq", "rows": 16, "cols": 64},
-        })
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
+        }))
+        for path, payload in requests:
+            status, headers, body = http(base, path, payload)
+            assert status == 404
+            assert body == {"error": f"no such endpoint {path!r}"}
+            assert "Deprecation" not in headers and "Link" not in headers
 
     def test_v1_unknown_endpoint_is_404(self, base):
         assert http(base, "/v1/nope")[0] == 404

@@ -432,6 +432,17 @@ class TestGatewayFrontDoor:
             client.request("POST", "/v1/jobs", {"type": "quantize_tensor", "bogus": 1})
         assert excinfo.value.status == 400
 
+    def test_malformed_wait_is_400_and_leaves_nodes_healthy(self, fabric):
+        # Forwarded unvalidated, "1 2" made an invalid node URL: every node
+        # was tried, demoted to suspect, and the caller got a 503.
+        gateway, url, _, _ = fabric
+        client = ServiceClient(url, timeout=10.0, retries=0)
+        with pytest.raises(ServiceRequestError) as excinfo:
+            client.request("POST", "/v1/jobs?wait=1%202", QUANT)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload == {"error": "invalid \"wait\" value '1 2'"}
+        assert [node.state for node in gateway.nodes.nodes()] == ["healthy", "healthy"]
+
     def test_jobs_listing_fans_out_with_digest_filter(self, fabric):
         _, url, _, _ = fabric
         client = ServiceClient(url, timeout=30.0)
@@ -522,7 +533,11 @@ class TestGatewayQuotas:
             url, f"http://127.0.0.1:{server.port}", server, heartbeat_interval=0.2
         )
         agent.start()
-        yield {"gateway": url, "node": f"http://127.0.0.1:{server.port}"}
+        yield {
+            "gateway": url,
+            "node": f"http://127.0.0.1:{server.port}",
+            "quotas": gateway.quotas,
+        }
         agent.stop()
         server.close()
         gateway.close()
@@ -608,6 +623,13 @@ class TestGatewayQuotas:
         assert record["job_id"] == queued["job_id"]
         assert record["state"] in ("cancelled", "running", "done")
 
+    def test_malformed_wait_holds_no_quota_slot(self, secured):
+        client = ServiceClient(secured["gateway"], timeout=10.0, retries=0, api_key="ck-1")
+        with pytest.raises(ServiceRequestError) as excinfo:
+            client.request("POST", "/v1/jobs?wait=1%202", QUANT)
+        assert excinfo.value.status == 400
+        assert secured["quotas"].inflight("ci") == 0
+
     def test_resubmitting_same_digest_costs_no_extra_slot(self, secured):
         self._occupy_worker(secured["node"])
         client = ServiceClient(secured["gateway"], timeout=30.0, retries=0, api_key="ck-1")
@@ -656,7 +678,7 @@ class TestFailoverResurrection:
         that was never reachable (it "died" holding the job); returns the
         gateway job id a client would be polling."""
         body = {"type": "quantize_tensor", "params": {"rows": 16, "cols": 32, "seed": 77}}
-        job_type, params, digest, _ = gateway.canonicalize(["jobs"], body)
+        job_type, params, digest, _ = gateway.canonicalize("/v1/jobs", body)
         gateway.nodes.register(
             "http://127.0.0.1:9", gateway.registry_digest, node_id="node-ghost"
         )

@@ -1,5 +1,9 @@
 """Regression tests for the hardened HTTP layer: malformed requests, the
-catch-all error envelope, cancellation, backpressure, and /jobs pagination."""
+catch-all error envelope, cancellation, backpressure, and /jobs pagination.
+
+The header and keep-alive cases run against a node and, through
+``TestGatewayEnvelope``, against a gateway: both serve through the shared
+layer in :mod:`repro.service.http`."""
 
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ import urllib.request
 
 import pytest
 
+from repro.gateway import create_gateway
 from repro.service import ResultCache, ScenarioRegistry, create_server
 
 
@@ -91,7 +96,7 @@ class TestMalformedHeaders:
     def _raw_post(self, server, content_length: str) -> tuple[int, dict]:
         connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
         try:
-            connection.putrequest("POST", "/jobs")
+            connection.putrequest("POST", "/v1/jobs")
             connection.putheader("Content-Type", "application/json")
             connection.putheader("Content-Length", content_length)
             connection.endheaders()
@@ -117,12 +122,12 @@ class TestMalformedHeaders:
 
     def test_service_still_answers_after_malformed_header(self, server, base):
         self._raw_post(server, "garbage")
-        assert get(base, "/health")[0] == 200
+        assert get(base, "/v1/health")[0] == 200
 
 
 class TestUnknownFields:
     def test_unknown_submission_fields_are_400(self, base):
-        status, payload = post(base, "/jobs", {"type": "echo", "paramz": {}})
+        status, payload = post(base, "/v1/jobs", {"type": "echo", "paramz": {}})
         assert status == 400
         assert "paramz" in payload["error"]
 
@@ -132,19 +137,19 @@ class TestErrorEnvelope:
         # The job itself succeeds; serializing its NaN payload into the
         # response cannot — previously an unhandled ValueError tore the
         # connection down with no response at all.
-        status, payload = post(base, "/jobs?wait=30", {"type": "nan"})
+        status, payload = post(base, "/v1/jobs?wait=30", {"type": "nan"})
         assert status == 500
         assert "internal server error" in payload["error"]
 
     def test_keepalive_survives_bad_json_then_reuse(self, server):
         connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
         try:
-            connection.request("POST", "/jobs", body=b"{not json",
+            connection.request("POST", "/v1/jobs", body=b"{not json",
                                headers={"Content-Type": "application/json"})
             response = connection.getresponse()
             assert response.status == 400
             json.loads(response.read())
-            connection.request("GET", "/health")
+            connection.request("GET", "/v1/health")
             response = connection.getresponse()
             assert response.status == 200
             assert json.loads(response.read())["status"] == "ok"
@@ -152,51 +157,68 @@ class TestErrorEnvelope:
             connection.close()
 
     def test_service_still_healthy_after_500(self, base):
-        post(base, "/jobs?wait=30", {"type": "nan"})
-        assert get(base, "/health")[0] == 200
+        post(base, "/v1/jobs?wait=30", {"type": "nan"})
+        assert get(base, "/v1/health")[0] == 200
+
+
+class TestGatewayEnvelope(TestMalformedHeaders):
+    """The malformed-header and keep-alive cases against a gateway."""
+
+    @pytest.fixture()
+    def server(self):
+        gateway = create_gateway(port=0)
+        thread = threading.Thread(target=gateway.serve_forever, daemon=True)
+        thread.start()
+        yield gateway
+        gateway.close()
+        thread.join(timeout=10)
+
+    test_keepalive_survives_bad_json_then_reuse = (
+        TestErrorEnvelope.test_keepalive_survives_bad_json_then_reuse
+    )
 
 
 class TestNoneResults:
     def test_none_result_cache_hits(self, server, base):
         # A None result must be a first-class cached value, not a
         # permanently-missing cache entry recomputed on every submission.
-        status, first = post(base, "/jobs?wait=30", {"type": "none", "params": {"value": 5}})
+        status, first = post(base, "/v1/jobs?wait=30", {"type": "none", "params": {"value": 5}})
         assert status == 200 and first["state"] == "done"
         assert not first["cache_hit"]
-        status, second = post(base, "/jobs?wait=30", {"type": "none", "params": {"value": 5}})
+        status, second = post(base, "/v1/jobs?wait=30", {"type": "none", "params": {"value": 5}})
         assert status == 200 and second["state"] == "done"
         assert second["cache_hit"]
         assert server.test_registry.calls["none"] == 1
-        status, result = get(base, f"/jobs/{second['job_id']}/result")
+        status, result = get(base, f"/v1/jobs/{second['job_id']}/result")
         assert status == 200 and result["result"] is None
 
 
 class TestCancellation:
     def test_cancel_queued_job(self, server, base):
         registry = server.test_registry
-        _, running = post(base, "/jobs", {"type": "slow", "params": {"value": 1}})
+        _, running = post(base, "/v1/jobs", {"type": "slow", "params": {"value": 1}})
         assert registry.started.wait(10)
-        _, queued = post(base, "/jobs", {"type": "echo", "params": {"value": 2}})
+        _, queued = post(base, "/v1/jobs", {"type": "echo", "params": {"value": 2}})
         assert queued["state"] == "queued"
 
-        status, cancelled = post(base, f"/jobs/{queued['job_id']}/cancel", {})
+        status, cancelled = post(base, f"/v1/jobs/{queued['job_id']}/cancel", {})
         assert status == 200
         assert cancelled["state"] == "cancelled"
-        status, record = get(base, f"/jobs/{queued['job_id']}")
+        status, record = get(base, f"/v1/jobs/{queued['job_id']}")
         assert record["state"] == "cancelled"
 
         # The running job cannot be cancelled.
-        status, refused = post(base, f"/jobs/{running['job_id']}/cancel", {})
+        status, refused = post(base, f"/v1/jobs/{running['job_id']}/cancel", {})
         assert status == 409
         registry.gate.set()
 
     def test_cancel_unknown_job_is_404(self, base):
-        assert post(base, "/jobs/job-999999/cancel", {})[0] == 404
+        assert post(base, "/v1/jobs/job-999999/cancel", {})[0] == 404
 
     def test_cancel_finished_job_is_409(self, base):
-        _, done = post(base, "/jobs?wait=30", {"type": "echo", "params": {"value": 3}})
+        _, done = post(base, "/v1/jobs?wait=30", {"type": "echo", "params": {"value": 3}})
         assert done["state"] == "done"
-        status, payload = post(base, f"/jobs/{done['job_id']}/cancel", {})
+        status, payload = post(base, f"/v1/jobs/{done['job_id']}/cancel", {})
         assert status == 409
         assert "done" in payload["error"]
 
@@ -219,16 +241,16 @@ class TestBackpressure:
     def test_429_when_queue_full_then_recovers(self, saturated):
         server, base = saturated
         registry = server.test_registry
-        post(base, "/jobs", {"type": "slow", "params": {"value": 1}})
+        post(base, "/v1/jobs", {"type": "slow", "params": {"value": 1}})
         assert registry.started.wait(10)
-        post(base, "/jobs", {"type": "echo", "params": {"value": 2}})
-        status, payload = post(base, "/jobs", {"type": "echo", "params": {"value": 3}})
+        post(base, "/v1/jobs", {"type": "echo", "params": {"value": 2}})
+        status, payload = post(base, "/v1/jobs", {"type": "echo", "params": {"value": 3}})
         assert status == 429
         assert payload["max_queued"] == 2
         assert "retry" in payload["error"]
 
         # Duplicates of queued work are dedup/cache hits, never rejected.
-        status, dedup = post(base, "/jobs", {"type": "echo", "params": {"value": 2}})
+        status, dedup = post(base, "/v1/jobs", {"type": "echo", "params": {"value": 2}})
         assert status in (200, 202)
 
         registry.gate.set()
@@ -238,7 +260,7 @@ class TestBackpressure:
 
         deadline = time.perf_counter() + 10
         while True:
-            status, accepted = post(base, "/jobs?wait=30",
+            status, accepted = post(base, "/v1/jobs?wait=30",
                                     {"type": "echo", "params": {"value": 3}})
             if status != 429:
                 break
@@ -250,22 +272,22 @@ class TestBackpressure:
 class TestJobsPagination:
     def test_state_filter_offset_and_limit(self, server, base):
         for value in range(4):
-            post(base, "/jobs?wait=30", {"type": "echo", "params": {"value": value}})
-        status, everything = get(base, "/jobs?state=done")
+            post(base, "/v1/jobs?wait=30", {"type": "echo", "params": {"value": value}})
+        status, everything = get(base, "/v1/jobs?state=done")
         assert status == 200
         assert everything["total"] == 4
         assert [job["state"] for job in everything["jobs"]] == ["done"] * 4
 
-        status, window = get(base, "/jobs?state=done&offset=1&limit=2")
+        status, window = get(base, "/v1/jobs?state=done&offset=1&limit=2")
         assert window["total"] == 4
         assert len(window["jobs"]) == 2
         assert window["offset"] == 1 and window["limit"] == 2
         assert window["jobs"] == everything["jobs"][1:3]
 
-        status, empty = get(base, "/jobs?state=failed")
+        status, empty = get(base, "/v1/jobs?state=failed")
         assert status == 200 and empty["total"] == 0 and empty["jobs"] == []
 
     def test_invalid_pagination_params_are_400(self, base):
-        assert get(base, "/jobs?state=nope")[0] == 400
-        assert get(base, "/jobs?offset=-1")[0] == 400
-        assert get(base, "/jobs?limit=abc")[0] == 400
+        assert get(base, "/v1/jobs?state=nope")[0] == 400
+        assert get(base, "/v1/jobs?offset=-1")[0] == 400
+        assert get(base, "/v1/jobs?limit=abc")[0] == 400

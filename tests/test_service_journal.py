@@ -215,7 +215,7 @@ class TestServerJournalIntegration:
         thread.start()
         base = f"http://127.0.0.1:{server.port}"
         job = {"type": "prune_tensor", "params": {"rows": 32, "cols": 128}}
-        first = post(base, "/jobs?wait=120", job)
+        first = post(base, "/v1/jobs?wait=120", job)
         assert first["state"] == "done"
         server.close()
         thread.join(timeout=10)
@@ -227,13 +227,13 @@ class TestServerJournalIntegration:
         assert restarted.replay_stats["completed"] == 1
 
         # The pre-restart job is visible under its old id with its result.
-        record = get(base, f"/jobs/{first['job_id']}/result")
+        record = get(base, f"/v1/jobs/{first['job_id']}/result")
         assert record["state"] == "done"
         assert record["result"] == first["result"]
         # A resubmission is a cache hit, not a recompute.
-        again = post(base, "/jobs?wait=120", job)
+        again = post(base, "/v1/jobs?wait=120", job)
         assert again["state"] == "done" and again["cache_hit"]
-        assert get(base, "/health")["journal"] is True
+        assert get(base, "/v1/health")["journal"] is True
         restarted.close()
         thread.join(timeout=10)
 
