@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitplane import redundant_columns
+from .bitplane import _validated, redundant_columns
 from .encoding import (
     MAX_PRUNED_COLUMNS,
     MAX_REDUNDANT_COLUMNS,
@@ -61,7 +61,7 @@ def rounded_average_group(
         The pruned group; its ``values`` are the actual weights after
         compression and decode exactly from the BBS encoding.
     """
-    group = np.asarray(group)
+    group = _validated(group, bits)
     _check_target(num_columns, bits)
     if group.ndim != 1:
         raise ValueError(f"expected a 1-D group, got shape {group.shape}")
@@ -106,7 +106,7 @@ def rounded_average_groups(
         ``pruned_values`` has the same shape as ``groups`` and the other three
         are 1-D per-group arrays.
     """
-    groups = np.asarray(groups)
+    groups = _validated(groups, bits)
     if groups.ndim != 2:
         raise ValueError(f"expected (num_groups, group_size), got {groups.shape}")
     _check_target(num_columns, bits)

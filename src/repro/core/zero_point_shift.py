@@ -9,21 +9,25 @@ next multiple of ``2**k`` — with minimal error against the original weights.
 The chosen constant is stored in the 6-bit BBS-constant metadata field and is
 subtracted back during computation (``actual = shifted_pruned - constant``).
 
-The search over the 64 possible 6-bit constants is exhaustive.  The fast path
-(:func:`zero_point_shift_groups`) batches candidate constants into chunked
-3-D int32 broadcasts, derives the per-candidate redundant-column counts from
-hoisted per-group extrema instead of full per-element scans, prunes rows
-through one shift-free vectorized kernel instead of per-``k`` mask passes,
-and eliminates candidates early through a rounding-distance lower bound on
-their error, scoring only the survivors.  The original per-candidate
-implementation is kept as :func:`zero_point_shift_groups_reference`; the two
-are bit-identical (property-tested in ``tests/test_perf_equivalence.py``).
+The search over the 64 possible 6-bit constants is exhaustive and exact.  For
+one call's ``(num_columns, bits, constant_bits)``, a weight's rounding under
+constant ``c`` depends only on its value ``v``, on ``c`` and on the group's
+redundant-column count ``r`` (0..3, read off the shifted group extrema).  The
+fast path (:func:`zero_point_shift_groups`) therefore tabulates the squared
+error and the decoded value of every ``(r, c, v)`` once, counts each group's
+values, and scores every ``(r, c)`` of a block of groups with one float32
+``histogram @ table.T`` product; each candidate then reads the score of its
+actual ``r``, and the first minimum over ascending candidates is the
+reference's tie-break.  The original per-candidate implementation is kept as
+:func:`zero_point_shift_groups_reference`; the two are bit-identical
+(property-tested in ``tests/test_perf_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .bitplane import _validated, int_range
 from .encoding import (
     CONSTANT_FIELD_BITS,
     MAX_PRUNED_COLUMNS,
@@ -38,12 +42,10 @@ __all__ = [
     "zero_point_shift_groups_reference",
 ]
 
-#: Candidate constants per batched broadcast; 16 keeps every chunk temporary
-#: of a 512x2048 layer (8192 groups of 32) near 16 MB in int32.
-_CANDIDATE_CHUNK = 16
-
-#: Group rows per batched broadcast (bounds peak memory for huge layers).
-_GROUP_BLOCK = 8192
+#: Group rows per histogram block.  At the default widths the block's float32
+#: histogram and score matrices (512 x 256 each) stay cache-resident: 4096-row
+#: blocks measured ~1.7x slower on 8192 groups of 32.
+_GROUP_BLOCK = 512
 
 
 def _constant_candidates(constant_bits: int) -> np.ndarray:
@@ -92,15 +94,19 @@ def zero_point_shift_group(
     )
 
 
-def _validate_groups(groups: np.ndarray, num_columns: int) -> np.ndarray:
-    groups = np.asarray(groups).astype(np.int64)
+def _validate_groups(
+    groups: np.ndarray, num_columns: int, bits: int, constant_bits: int
+) -> np.ndarray:
+    groups = np.asarray(groups)
     if groups.ndim != 2:
         raise ValueError(f"expected (num_groups, group_size), got {groups.shape}")
     if num_columns < 0 or num_columns > MAX_PRUNED_COLUMNS:
         raise ValueError(
             f"num_columns must be in [0, {MAX_PRUNED_COLUMNS}], got {num_columns}"
         )
-    return groups
+    if constant_bits < 1:
+        raise ValueError(f"constant_bits must be at least 1, got {constant_bits}")
+    return _validated(groups, bits).astype(np.int64)
 
 
 def zero_point_shift_groups(
@@ -117,7 +123,7 @@ def zero_point_shift_groups(
         ``(actual_values, num_redundant, num_sparse, constants)``.
         ``actual_values`` are the decoded weights (shift already removed).
     """
-    groups = _validate_groups(groups, num_columns)
+    groups = _validate_groups(groups, num_columns, bits, constant_bits)
     num_groups, group_size = groups.shape
     if num_columns == 0 or num_groups == 0 or group_size == 0:
         zeros = np.zeros(num_groups, dtype=np.int64)
@@ -128,284 +134,87 @@ def zero_point_shift_groups(
         )
         return groups.copy(), zeros, sparse, zeros.copy()
 
-    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    # The int32 fast path is sized for word-range inputs and the 6-bit BBS
-    # constant field; anything exotic takes the slow-but-general oracle.  For
-    # in-range inputs every base rounding error is bounded by the block size
-    # plus the constant magnitude, and the per-group squared-error dot must
-    # fit the int32 accumulator of _score_rows.
+    # A base rounding error is at most one block plus the constant magnitude.
+    # Every partial sum of the float32 scores is then an integer below 2**24,
+    # so any summation order gives the exact SSE.  Wider words (a larger
+    # table) and longer groups take the oracle.
     error_bound = (1 << MAX_PRUNED_COLUMNS) + (1 << (constant_bits - 1))
-    if (
-        bits > 24
-        or constant_bits > 8
-        or group_size * error_bound * error_bound >= 2**31
-        or int(groups.min()) < lo
-        or int(groups.max()) > hi
-    ):
+    if bits > 8 or constant_bits > 8 or group_size * error_bound**2 >= 2**24:
         return zero_point_shift_groups_reference(
             groups, num_columns, bits=bits, constant_bits=constant_bits
         )
 
     candidates = _constant_candidates(constant_bits)
-    work = np.int32
-    groups_w = groups.astype(work)
-    gmax = groups_w.max(axis=1)
-    gmin = groups_w.min(axis=1)
+    num_candidates = candidates.size
+    vmin = int(groups.min())
+    span = int(groups.max()) - vmin + 1
+    sq_error, decoded, extreme_row = _rounding_tables(
+        vmin, span, candidates, num_columns, bits
+    )
+    codes = groups - vmin
+    max_codes = codes.max(axis=1)
+    min_codes = codes.min(axis=1)
 
-    # The search only selects; all errors are exact integers, so the per-group
-    # squared error (SSE) is tracked in int64 and compared exactly.  The
-    # reference compares float64 MSEs, but those equal SSE / group_size with
-    # every intermediate exactly representable, so integer SSE order matches
-    # the reference float order, and ties break toward the smaller constant —
-    # exactly the reference's ascending scan with strict improvement.
-    sse_sentinel = np.iinfo(np.int64).max
-    best_sse = np.full(num_groups, sse_sentinel, dtype=np.int64)
-    best_constant = np.zeros(num_groups, dtype=np.int64)
-
-    # Contiguous ascending chunks, visited centre-out: near-zero shifts win
-    # almost always, so scoring them first (with the closest chunk halved to
-    # shrink the one dense, unbounded pass) makes the elimination bound tight
-    # for the outer chunks.  Selection is order-independent because ties
-    # resolve on (SSE, constant).
-    chunks = [
-        candidates[start : start + _CANDIDATE_CHUNK]
-        for start in range(0, candidates.size, _CANDIDATE_CHUNK)
-    ]
-    chunks.sort(key=lambda chunk: int(np.abs(chunk).min()))
-    if chunks[0].size > 1:
-        half = chunks[0].size // 2
-        chunks[:1] = [chunks[0][:half], chunks[0][half:]]
-        chunks.sort(key=lambda chunk: int(np.abs(chunk).min()))
-
-    max_chunk = max(chunk.size for chunk in chunks)
+    # The search only selects.  The reference compares float64 MSEs, which
+    # equal the integer SSE / group_size exactly, so SSE order is its order
+    # and the first minimum over ascending candidates is its strict-
+    # improvement scan.  A winner is kept as its table row r * C + j.
+    best_row = np.empty(num_groups, dtype=np.int64)
     for g0 in range(0, num_groups, _GROUP_BLOCK):
         g1 = min(g0 + _GROUP_BLOCK, num_groups)
-        sub = groups_w[g0:g1]
-        scratch = np.empty((2, max_chunk, g1 - g0, group_size), dtype=work)
-        for chunk in chunks:
-            _search_chunk(
-                sub,
-                gmax[g0:g1],
-                gmin[g0:g1],
-                chunk,
-                num_columns,
-                bits,
-                lo,
-                hi,
-                scratch,
-                best_sse[g0:g1],
-                best_constant[g0:g1],
-            )
+        rows = g1 - g0
+        offsets = codes[g0:g1] + (np.arange(rows) * span)[:, None]
+        hist = np.bincount(offsets.ravel(), minlength=rows * span)
+        scores = hist.reshape(rows, span).astype(np.float32) @ sq_error.T
+        # A group's redundant count is the smaller of its extremes' counts.
+        table_row = np.minimum(extreme_row[max_codes[g0:g1]], extreme_row[min_codes[g0:g1]])
+        sse = np.take(scores, table_row + (np.arange(rows) * scores.shape[1])[:, None])
+        best_row[g0:g1] = table_row[np.arange(rows), np.argmin(sse, axis=1)]
 
-    # Reconstruct the winning candidate's full result in one 2-D pass; this is
-    # 1/len(candidates) of the search work and lets the search track nothing
-    # but (SSE, constant) per group.
-    cw = best_constant.astype(work)
-    unclipped = groups_w + cw[:, None]
+    values = decoded[best_row[:, None], codes]
+    redundant = best_row // num_candidates
+    return values, redundant, num_columns - redundant, candidates[best_row % num_candidates]
+
+
+def _rounding_tables(
+    vmin: int, span: int, candidates: np.ndarray, num_columns: int, bits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tabulate Algorithm 1 over every weight value ``v`` in ``vmin + range(span)``.
+
+    Returns ``(sq_error, decoded, extreme_row)``.  The first two are
+    ``(R * C, span)``: row ``r * C + j`` holds redundant count ``r`` and
+    candidate ``candidates[j]``, column ``v - vmin`` the squared error and the
+    decoded weight of ``v``.  The rounding replays :func:`_prune_low_columns`
+    exactly: round the clipped shifted weight down or up to a
+    ``2**(num_columns - r)`` multiple, charge ``2**(2 * bits)`` for a decoded
+    weight outside the word, forbid an up that breaks the redundant-column
+    bound, and take up only if strictly better.
+
+    ``extreme_row`` is ``(span, C)``: the row ``r * C + j`` for a group whose
+    only member is ``v``.  A group's redundant count is the smallest of its
+    members', which is reached at its max or min, so a group's row under
+    candidate ``j`` is the smaller of its extremes' rows.
+    """
+    lo, hi = int_range(bits)
+    shift = candidates.astype(np.int32)[None, :, None]
+    unclipped = np.arange(vmin, vmin + span, dtype=np.int32) + shift
     clipped = np.clip(unclipped, lo, hi)
-    redundant, sparse = _redundant_sparse(
-        np.clip(gmax + cw, lo, hi), np.clip(gmin + cw, lo, hi), bits, num_columns
-    )
-    values = (
-        _prune_rows(unclipped, clipped, sparse, redundant, cw, bits, lo, hi)
-        - cw[:, None]
-    ).astype(np.int64)
-    return values, redundant.astype(np.int64), sparse.astype(np.int64), best_constant
+    word = np.arange(lo, hi + 1)[:, None]
+    single = np.minimum(_redundant_columns_batch(word, bits), num_columns)[clipped[0].T - lo]
+    extreme_row = single * candidates.size + np.arange(candidates.size)
 
-
-def _redundant_sparse(
-    shifted_max: np.ndarray,
-    shifted_min: np.ndarray,
-    bits: int,
-    num_columns: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group redundant/sparse column split from the group extrema.
-
-    The two's-complement magnitude ``v if v >= 0 else -v - 1`` is maximized at
-    one of the group's extreme values, so the redundant-column count of
-    :func:`_redundant_columns_batch` follows from the (clipped) max and min
-    alone — no per-element pass inside the candidate loop.
-    """
-    magnitudes = np.maximum(shifted_max, -shifted_min - 1)
-    bit_length = (
-        np.floor(np.log2(magnitudes.astype(np.float64) + 0.5)).astype(np.int64) + 1
-    )
-    redundant = np.clip(bits - (bit_length + 1), 0, MAX_REDUNDANT_COLUMNS)
-    redundant = np.minimum(redundant, num_columns)
-    return redundant, num_columns - redundant
-
-
-def _rounding_choice(
-    unclipped: np.ndarray,
-    clipped: np.ndarray,
-    sparse: np.ndarray,
-    redundant: np.ndarray,
-    constants: np.ndarray,
-    bits: int,
-    lo: int,
-    hi: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Round every weight of every row to its nearer allowed block multiple.
-
-    ``unclipped``/``clipped`` are ``(rows, group_size)``; ``sparse``,
-    ``redundant`` and ``constants`` are per-row.  Returns ``(down, up,
-    err_down, err_up, take_up)`` where the err arrays are the base absolute
-    errors (what enters the SSE).
-
-    The reference adds a ``2**(2 * bits)`` penalty to out-of-word-range sides
-    and an infinity to redundant-bound violations before comparing; because
-    that penalty dwarfs every base error (at most ``2**MAX_PRUNED_COLUMNS``
-    plus the constant magnitude for in-range inputs), its effect on the
-    comparison reduces to pure boolean logic, which is what ``take_up``
-    implements: up must be allowed, and it wins on a penalty it avoids or —
-    penalties equal — on a strictly smaller base error.
-    """
-    work = clipped.dtype.type
-    k = sparse.astype(clipped.dtype, copy=False)[:, None]
-    block = work(1) << k
+    redundant = np.arange(int(single.max()) + 1)[:, None, None]
+    block = np.int32(1) << (num_columns - redundant).astype(np.int32)
     down = clipped & -block  # two's-complement AND == floor to a block multiple
     up = down + block
-    cols = constants[:, None]
-    down_penalized = down < cols + lo
-    up_penalized = up > cols + hi
-    up_limit = np.minimum(
-        (np.int64(1) << (bits - 1 - redundant.astype(np.int64))) - 1, hi
-    ).astype(clipped.dtype, copy=False)
-    up_allowed = up <= up_limit[:, None]
-    err_down = np.abs(down - unclipped)
-    err_up = np.abs(up - unclipped)
-    take_up = up_allowed & (
-        (down_penalized & ~up_penalized)
-        | ((down_penalized == up_penalized) & (err_up < err_down))
-    )
-    return down, up, err_down, err_up, take_up
-
-
-def _prune_rows(
-    unclipped: np.ndarray,
-    clipped: np.ndarray,
-    sparse: np.ndarray,
-    redundant: np.ndarray,
-    constants: np.ndarray,
-    bits: int,
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    down, up, _, _, take_up = _rounding_choice(
-        unclipped, clipped, sparse, redundant, constants, bits, lo, hi
-    )
-    return np.where(take_up, up, down)
-
-
-def _score_rows(
-    unclipped: np.ndarray,
-    clipped: np.ndarray,
-    sparse: np.ndarray,
-    redundant: np.ndarray,
-    constants: np.ndarray,
-    bits: int,
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    """Exact per-row SSE of the rounding the reference would pick."""
-    _, _, err_down, err_up, take_up = _rounding_choice(
-        unclipped, clipped, sparse, redundant, constants, bits, lo, hi
-    )
-    np.copyto(err_down, err_up, where=take_up)
-    # Base errors are bounded by block + |constant| (< 2**7 + 2**7), so the
-    # int32 dot cannot overflow for any accepted group size.
-    return np.einsum("ns,ns->n", err_down, err_down).astype(np.int64, copy=False)
-
-
-def _search_chunk(
-    sub: np.ndarray,
-    sub_max: np.ndarray,
-    sub_min: np.ndarray,
-    chunk: np.ndarray,
-    num_columns: int,
-    bits: int,
-    lo: int,
-    hi: int,
-    scratch: np.ndarray,
-    best_sse: np.ndarray,
-    best_constant: np.ndarray,
-) -> None:
-    """Score one ascending chunk of candidate constants; update bests in place."""
-    num_blockgroups, group_size = sub.shape
-    num_candidates = chunk.size
-    work = sub.dtype
-    cs = chunk.astype(work)
-    redundant, sparse = _redundant_sparse(
-        np.clip(sub_max[None, :] + cs[:, None], lo, hi),
-        np.clip(sub_min[None, :] + cs[:, None], lo, hi),
-        bits,
-        num_columns,
-    )
-
-    sse_sentinel = np.iinfo(np.int64).max
-    if best_sse[0] != sse_sentinel:
-        # Early candidate elimination: every stored value is a multiple of the
-        # group's block, so a candidate's SSE is at least the rounding
-        # distance of the *unclipped* shifted weights to block multiples.  A
-        # bound strictly above the incumbent can never win (ties keep the
-        # incumbent's smaller constant, found in an earlier, closer-to-zero
-        # chunk), so only the surviving rows are gathered and scored.
-        block3 = (work.type(1) << sparse.astype(work, copy=False))[:, :, None]
-        residue = np.add(
-            sub[None, :, :], cs[:, None, None], out=scratch[0, :num_candidates]
-        )
-        np.bitwise_and(residue, block3 - work.type(1), out=residue)
-        other = np.subtract(block3, residue, out=scratch[1, :num_candidates])
-        np.minimum(residue, other, out=residue)
-        bound_sse = np.einsum("cgs,cgs->cg", residue, residue)
-        active = bound_sse <= best_sse[None, :]
-        if not active.any():
-            return
-        ci, gi = np.nonzero(active)
-        unclipped = sub[gi] + cs[ci][:, None]
-        sse_rows = _score_rows(
-            unclipped,
-            np.clip(unclipped, lo, hi),
-            sparse[ci, gi],
-            redundant[ci, gi],
-            cs[ci],
-            bits,
-            lo,
-            hi,
-        )
-        chunk_sse = np.full(
-            (num_candidates, num_blockgroups), sse_sentinel, dtype=np.int64
-        )
-        chunk_sse[ci, gi] = sse_rows
-    else:
-        unclipped = np.add(
-            sub[None, :, :], cs[:, None, None], out=scratch[0, :num_candidates]
-        ).reshape(num_candidates * num_blockgroups, group_size)
-        clipped = np.clip(unclipped, lo, hi, out=scratch[1, :num_candidates].reshape(
-            num_candidates * num_blockgroups, group_size
-        ))
-        chunk_sse = _score_rows(
-            unclipped,
-            clipped,
-            sparse.reshape(-1),
-            redundant.reshape(-1),
-            np.repeat(cs, num_blockgroups),
-            bits,
-            lo,
-            hi,
-        ).reshape(num_candidates, num_blockgroups)
-
-    # First minimum along the ascending chunk == smallest winning constant.
-    winner = np.argmin(chunk_sse, axis=0)
-    group_index = np.arange(num_blockgroups)
-    win_sse = chunk_sse[winner, group_index]
-    win_constant = chunk[winner]
-    improved = (win_sse < best_sse) | (
-        (win_sse == best_sse) & (win_constant < best_constant)
-    )
-    improved &= win_sse != sse_sentinel
-    best_sse[improved] = win_sse[improved]
-    best_constant[improved] = win_constant[improved]
+    penalty = np.int32(1 << (2 * bits))
+    err_down = np.abs(down - unclipped) + penalty * (down - shift < lo)
+    err_up = np.abs(up - unclipped) + penalty * (up - shift > hi)
+    up_limit = np.minimum((1 << (bits - 1 - redundant)) - 1, hi)
+    chosen = np.where((up <= up_limit) & (err_up < err_down), up, down)
+    error = (chosen - unclipped).astype(np.float32).reshape(-1, span)
+    decoded = (chosen - shift).astype(np.int64).reshape(-1, span)
+    return error * error, decoded, extreme_row
 
 
 def zero_point_shift_groups_reference(
@@ -417,9 +226,10 @@ def zero_point_shift_groups_reference(
     """Original per-candidate Algorithm-1 search, kept as the golden oracle.
 
     One full ``(num_groups, group_size)`` pass per candidate constant; the
-    batched :func:`zero_point_shift_groups` must stay bit-identical to this.
+    table-driven :func:`zero_point_shift_groups` must stay bit-identical to
+    this.
     """
-    groups = _validate_groups(groups, num_columns)
+    groups = _validate_groups(groups, num_columns, bits, constant_bits)
     num_groups = groups.shape[0]
     if num_columns == 0:
         zeros = np.zeros(num_groups, dtype=np.int64)

@@ -1,6 +1,6 @@
 """Golden-equivalence tests for the optimized kernels and the artifact memo.
 
-The batched zero-point search, the batched clip search, the arithmetic
+The table-driven zero-point search, the batched clip search, the arithmetic
 bit-flip, the plane-free bit statistics, the integer KL path and the artifact
 memo are pure optimizations: they must return *bit-identical* results to the
 original implementations.  These tests pin that property across random
@@ -34,6 +34,7 @@ from repro.core import (
 from repro.core.bitplane import column_ones, int_range, to_bitplanes
 from repro.core.global_pruning import CONSERVATIVE_PRESET, MODERATE_PRESET
 from repro.core.metrics import kl_divergence
+from repro.core import zero_point_shift as zero_point_shift_module
 from repro.core.zero_point_shift import (
     zero_point_shift_groups,
     zero_point_shift_groups_reference,
@@ -44,9 +45,12 @@ from repro.quant.bitflip import _bitflip_batch, _bitflip_batch_reference
 from repro.quant.ptq import optimal_clip_scale, optimal_clip_scale_reference
 
 
-def assert_search_matches(groups: np.ndarray, num_columns: int, bits: int = 8) -> None:
-    reference = zero_point_shift_groups_reference(groups, num_columns, bits=bits)
-    fast = zero_point_shift_groups(groups, num_columns, bits=bits)
+def assert_search_matches(
+    groups: np.ndarray, num_columns: int, bits: int = 8, constant_bits: int = 6
+) -> None:
+    kwargs = {"bits": bits, "constant_bits": constant_bits}
+    reference = zero_point_shift_groups_reference(groups, num_columns, **kwargs)
+    fast = zero_point_shift_groups(groups, num_columns, **kwargs)
     for name, ref, new in zip(
         ("values", "num_redundant", "num_sparse", "constants"), reference, fast,
         strict=True,
@@ -76,20 +80,29 @@ class TestZeroPointShiftEquivalence:
         assert_search_matches(groups, num_columns)
 
     @given(
-        st.integers(5, 12),
+        st.integers(2, 8),
+        st.integers(1, 8),
         st.integers(0, 6),
         st.integers(1, 24),
-        st.integers(1, 48),
+        st.integers(1, 64),
         st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_property_bit_identical_word_widths(
-        self, bits, num_columns, num_groups, group_size, seed
+        self, bits, constant_bits, num_columns, num_groups, group_size, seed
     ):
-        hi = (1 << (bits - 1)) - 1
+        # Every word and constant width the error table serves; the narrow
+        # spreads make saturated, near-constant groups common.
+        lo, hi = int_range(bits)
         rng = np.random.default_rng(seed)
-        groups = rng.integers(-hi - 1, hi + 1, size=(num_groups, group_size))
-        assert_search_matches(groups, num_columns, bits=bits)
+        centre = rng.integers(lo, hi + 1)
+        spread = int(rng.choice([0, 1, 3, hi - lo]))
+        groups = np.clip(
+            centre + rng.integers(-spread, spread + 1, size=(num_groups, group_size)),
+            lo,
+            hi,
+        )
+        assert_search_matches(groups, num_columns, bits=bits, constant_bits=constant_bits)
 
     @pytest.mark.parametrize("sigma", [2.0, 24.0, 60.0])
     @pytest.mark.parametrize("num_columns", [1, 2, 4, 6])
@@ -116,17 +129,71 @@ class TestZeroPointShiftEquivalence:
         for num_columns in range(7):
             assert_search_matches(groups, num_columns)
 
-    def test_out_of_word_range_inputs_fall_back_to_reference(self):
-        # Garbage inputs (values beyond the declared word width) take the
-        # reference path outright, so equivalence is preserved there too.
-        groups = np.array([[300, -400, 5, 7]], dtype=np.int64)
-        assert_search_matches(groups, 4)
+    @pytest.mark.parametrize("search", [zero_point_shift_groups, zero_point_shift_groups_reference])
+    @pytest.mark.parametrize(
+        "groups, kwargs, error, match",
+        [
+            (np.array([[1.7, -2.2, 3.9, 0.4]]), {}, TypeError, "integer"),
+            (np.array([[True, False]]), {}, TypeError, "integer"),
+            (np.array([[200, 5]], dtype=np.uint8), {}, ValueError, "range"),
+            (np.array([[300, -400, 5, 7]]), {}, ValueError, "range"),
+            (np.array([[1, 2, 3, 4]]), {"bits": 1}, ValueError, "at least 2 bits"),
+            (np.array([[1, 2, 3, 4]]), {"bits": 0}, ValueError, "at least 2 bits"),
+            (np.array([[1, 2, 3, 4]]), {"constant_bits": 0}, ValueError, "constant_bits"),
+        ],
+    )
+    def test_bad_inputs_rejected_by_both_paths(self, search, groups, kwargs, error, match):
+        # Both paths used to truncate floats, wrap out-of-word values and fail
+        # deep inside on zero widths; now they validate up front.
+        for num_columns in (0, 4):
+            with pytest.raises(error, match=match):
+                search(groups, num_columns, **kwargs)
+
+    @pytest.mark.parametrize(
+        "bits, constant_bits, group_size, reference_calls",
+        [
+            # The float32 scores are exact while group_size * error_bound**2
+            # < 2**24, with error_bound = 64 + 2**(constant_bits - 1): the
+            # largest accepted sizes are 1820 (6-bit) and 455 (8-bit).
+            (8, 6, 1820, 0),
+            (8, 6, 1821, 1),
+            (8, 8, 455, 0),
+            (8, 8, 456, 1),
+            # Words wider than the 8-bit error table.
+            (9, 6, 16, 1),
+            (12, 6, 16, 1),
+        ],
+    )
+    def test_reference_fallback_boundaries(
+        self, bits, constant_bits, group_size, reference_calls, monkeypatch
+    ):
+        # Saturated and half-block values give the largest rounding errors.
+        worst = np.array([-128, 127, -96, 96, -32, 32, 95, -97])
+        rng = np.random.default_rng(group_size)
+        groups = np.stack(
+            [np.resize(worst, group_size), np.resize(worst[::-1], group_size)]
+            + [rng.choice(worst, group_size) for _ in range(4)]
+        )
+        kwargs = {"bits": bits, "constant_bits": constant_bits}
+        expected = zero_point_shift_groups_reference(groups, 6, **kwargs)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return expected
+
+        monkeypatch.setattr(zero_point_shift_module, "zero_point_shift_groups_reference", spy)
+        fast = zero_point_shift_groups(groups, 6, **kwargs)
+        assert len(calls) == reference_calls
+        for new, ref in zip(fast, expected, strict=True):
+            assert np.array_equal(new, ref)
 
     def test_empty_inputs(self):
         assert_search_matches(np.empty((0, 8), dtype=np.int64), 4)
 
     def test_big_layer_bit_identical_across_group_blocks(self):
-        # Exceeds one group block so the chunked block loop is exercised.
+        # Spans several histogram blocks, the last one partial, so the block
+        # loop's offsets and per-block redundant lookups are exercised.
         rng = np.random.default_rng(3)
         groups = np.clip(
             np.round(rng.normal(0, 24, (9000, 32))), -128, 127

@@ -74,6 +74,21 @@ class TestRoundedAverageGroup:
         with pytest.raises(ValueError):
             rounded_average_group(np.zeros((2, 4), dtype=np.int64), 2)
 
+    @pytest.mark.parametrize("num_columns", [0, 2])
+    @pytest.mark.parametrize(
+        "weights, error",
+        [
+            # Floats used to be truncated silently by the int64 cast.
+            (np.array([[1.7, -2.2, 3.9, 0.4]]), TypeError),
+            (np.array([[200, 5]], dtype=np.uint8), ValueError),
+        ],
+    )
+    def test_rejects_bad_weights(self, weights, error, num_columns):
+        with pytest.raises(error):
+            rounded_average_groups(weights, num_columns)
+        with pytest.raises(error):
+            rounded_average_group(weights[0], num_columns)
+
     def test_batch_matches_single(self, fresh_rng):
         groups = fresh_rng.integers(-128, 128, (20, 32))
         values, redundant, sparse, constants = rounded_average_groups(groups, 3)
