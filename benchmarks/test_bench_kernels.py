@@ -38,6 +38,9 @@ from repro.core.zero_point_shift import (
     zero_point_shift_groups_reference,
 )
 from repro.eval.experiments import figure6_kl_divergence
+from repro.nn.model_zoo import get_model
+from repro.nn.synthetic import synthesize_model
+from repro.quant.ant_datatype import ant_quantize, ant_quantize_reference
 from repro.quant.bitflip import _bitflip_batch, _bitflip_batch_reference, bitflip_tensor
 from repro.quant.ptq import optimal_clip_scale, optimal_clip_scale_reference
 
@@ -236,6 +239,52 @@ def test_column_ones_speedup_over_reference(column_vectors):
     print(f"\ncolumn_ones speedup over the plane sum: {speedup:.1f}x")
     assert speedup >= 1.5
     assert np.array_equal(column_ones(column_vectors, 8), column_ones_reference(column_vectors, 8))
+
+
+@pytest.fixture(scope="module")
+def resnet50_layers() -> list[np.ndarray]:
+    """The 30 sampled ResNet-50 layers figure 16 and Table II quantize with ANT."""
+    with memo_disabled():
+        model = synthesize_model(
+            get_model("ResNet-50"), seed=0, max_channels=96, max_reduction=768
+        )
+    return [layer.int_weights for layer in model.values()]
+
+
+def ant_quantize_layers(quantize, layers: list[np.ndarray]) -> list[np.ndarray]:
+    return [quantize(layer, 6).values for layer in layers]
+
+
+def test_bench_ant_quantize(benchmark, resnet50_layers):
+    values = benchmark(ant_quantize_layers, ant_quantize, resnet50_layers)
+    assert len(values) == len(resnet50_layers)
+
+
+def test_bench_ant_quantize_reference(benchmark, resnet50_layers):
+    """The original per-channel loop, kept on the record for trajectory."""
+    values = benchmark.pedantic(
+        ant_quantize_layers,
+        args=(ant_quantize_reference, resnet50_layers),
+        rounds=2,
+        iterations=1,
+    )
+    assert len(values) == len(resnet50_layers)
+
+
+def test_ant_quantize_speedup_over_reference(resnet50_layers):
+    """Parity guard for the batched ANT quantizer (measured ~5x)."""
+    speedup = interleaved_speedup(
+        lambda: ant_quantize_layers(ant_quantize_reference, resnet50_layers),
+        lambda: ant_quantize_layers(ant_quantize, resnet50_layers),
+    )
+    print(f"\nant_quantize speedup over reference: {speedup:.1f}x")
+    assert speedup >= 1.5
+    for new, old in zip(
+        ant_quantize_layers(ant_quantize, resnet50_layers),
+        ant_quantize_layers(ant_quantize_reference, resnet50_layers),
+        strict=True,
+    ):
+        assert np.array_equal(new, old)
 
 
 def test_bench_prune_tensor_moderate(benchmark, weight_matrix):

@@ -13,7 +13,10 @@ memory-only) are keyed by :func:`~repro.core.hashing.stable_digest` of the
 full input:
 
 * ``models`` — ``synthesize_model`` outputs, keyed by the model spec, seed,
-  statistics, and sampling caps;
+  statistics, and sampling caps; and trained ``MLPClassifier`` weights and
+  biases with their test accuracy (figure 11), keyed by the layer sizes, the
+  starting weights and biases, the four dataset arrays, and the epochs,
+  batch size, learning rate and shuffle seed;
 * ``tensors`` — ``prune_tensor`` results, keyed by the layer digest and the
   complete pruning configuration (columns, strategy, group size, word width,
   sensitive-channel mask).
@@ -25,7 +28,8 @@ copies and hits return fresh copies, so callers may freely mutate a
 ``PrunedTensor`` they receive.  ``models`` entries share their (large)
 ``LayerWeights`` objects across hits to avoid copying whole models per
 experiment; treat synthesized weights as read-only, as every caller in the
-repository does.
+repository does.  Trained-MLP entries keep private copies, and a hit copies
+them into the classifier's own arrays.
 
 The memo is per-process (worker processes build their own) and is enabled by
 default; set ``REPRO_MEMO=0`` to disable it, or use :func:`memo_disabled` to
@@ -68,7 +72,7 @@ def _env_enabled() -> bool:
 
 
 class ArtifactMemo:
-    """LRU memo for synthesized models and compressed tensors."""
+    """LRU memo for synthesized models, trained MLPs and compressed tensors."""
 
     def __init__(
         self,

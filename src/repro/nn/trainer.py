@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional as F
+from ..core.hashing import stable_digest
+from ..core.memo import get_memo
 from ..quant.ptq import quantize_per_channel
 
 __all__ = [
@@ -136,7 +138,53 @@ class MLPClassifier:
         seed: int = 0,
         verbose: bool = False,
     ) -> float:
-        """Train with Adam and return the final test accuracy (percent)."""
+        """Train with Adam and return the final test accuracy (percent).
+
+        Training is deterministic in its arguments and the starting weights,
+        so it is memoized process-wide (see :mod:`repro.core.memo`): a repeat
+        copies the trained weights and biases into this classifier's arrays,
+        exactly as training would leave them, and returns the same accuracy.
+        ``verbose`` runs always train, so the per-epoch lines are printed.
+        """
+        memo = get_memo()
+        memo_key = None
+        if memo.enabled and not verbose:
+            memo_key = stable_digest(
+                "MLPClassifier.train",
+                self.sizes,
+                self.weights,
+                self.biases,
+                dataset.train_x,
+                dataset.train_y,
+                dataset.test_x,
+                dataset.test_y,
+                epochs,
+                batch_size,
+                learning_rate,
+                seed,
+            )
+            cached = memo.models.get(memo_key)
+            if cached is not None:
+                trained, accuracy = cached
+                for array, values in zip(self.weights + self.biases, trained, strict=True):
+                    np.copyto(array, values)
+                return accuracy
+
+        accuracy = self._train(dataset, epochs, batch_size, learning_rate, seed, verbose)
+        if memo_key is not None:
+            trained = [array.copy() for array in self.weights + self.biases]
+            memo.models.put(memo_key, (trained, accuracy))
+        return accuracy
+
+    def _train(
+        self,
+        dataset: ClassificationDataset,
+        epochs: int,
+        batch_size: int,
+        learning_rate: float,
+        seed: int,
+        verbose: bool,
+    ) -> float:
         rng = np.random.default_rng(seed)
         m_w = [np.zeros_like(w) for w in self.weights]
         v_w = [np.zeros_like(w) for w in self.weights]

@@ -1,13 +1,14 @@
 """Golden-equivalence tests for the optimized kernels and the artifact memo.
 
 The table-driven zero-point search, the batched clip search, the arithmetic
-bit-flip, the plane-free bit statistics, the integer KL path and the artifact
-memo are pure optimizations: they must return *bit-identical* results to the
-original implementations.  These tests pin that property across random
-shapes, pruning budgets, word widths, and degenerate inputs, using the kept
-reference implementations (``zero_point_shift_groups_reference``,
-``optimal_clip_scale_reference`` and ``_bitflip_batch_reference``), the
-public ``to_bitplanes`` and ``np.histogram`` as the oracles.
+bit-flip, the plane-free bit statistics, the integer KL path, the batched ANT
+quantizer and the artifact memo are pure optimizations: they must return
+*bit-identical* results to the original implementations.  These tests pin
+that property across random shapes, pruning budgets, word widths, and
+degenerate inputs, using the kept reference implementations
+(``zero_point_shift_groups_reference``, ``optimal_clip_scale_reference``,
+``_bitflip_batch_reference`` and ``ant_quantize_reference``), the public
+``to_bitplanes`` and ``np.histogram`` as the oracles.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.core.zero_point_shift import (
 )
 from repro.nn.model_zoo import get_model
 from repro.nn.synthetic import synthesize_model
+from repro.quant.ant_datatype import ant_quantize, ant_quantize_reference
 from repro.quant.bitflip import _bitflip_batch, _bitflip_batch_reference
 from repro.quant.ptq import optimal_clip_scale, optimal_clip_scale_reference
 
@@ -415,6 +417,112 @@ class TestBitflipEquivalence:
             _bitflip_batch_reference(groups, 2, 8)
         with pytest.raises(ValueError):
             _bitflip_batch(groups, 2, 8)
+
+
+ANT_DATATYPES = ("int", "pot", "flint")
+
+#: Non-empty subsets of the ANT datatypes, in every order.
+ant_datatype_choices = st.lists(
+    st.sampled_from(ANT_DATATYPES), min_size=1, max_size=3, unique=True
+).map(tuple)
+
+
+def assert_ant_matches(weights: np.ndarray, bits: int, datatypes=ANT_DATATYPES) -> None:
+    reference = ant_quantize_reference(weights, bits, datatypes)
+    fast = ant_quantize(weights, bits, datatypes)
+    assert fast.values.dtype == reference.values.dtype
+    assert np.array_equal(fast.values, reference.values), "batched ANT diverged"
+    assert fast.chosen_datatypes == reference.chosen_datatypes
+
+
+@st.composite
+def ant_int_matrices(draw) -> np.ndarray:
+    """INT8 matrices in several integer dtypes, with some rows zeroed."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 48))
+    magnitude = draw(st.integers(0, 128))
+    flat = draw(
+        st.lists(
+            st.integers(-magnitude, min(magnitude, 127)),
+            min_size=rows * cols,
+            max_size=rows * cols,
+        )
+    )
+    weights = np.array(flat, dtype=np.int64).reshape(rows, cols)
+    zero_rows = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    weights[np.array(zero_rows, dtype=bool)] = 0
+    return weights.astype(draw(st.sampled_from([np.int64, np.int8, np.int16])))
+
+
+class TestAntEquivalence:
+    @given(ant_int_matrices(), st.integers(3, 8), ant_datatype_choices)
+    @settings(max_examples=150, deadline=None)
+    def test_property_int_matrices_bit_identical(self, weights, bits, datatypes):
+        assert_ant_matches(weights, bits, datatypes)
+
+    @given(
+        st.integers(0, 6),
+        st.integers(0, 48),
+        st.floats(1e-3, 1e3),
+        st.integers(3, 8),
+        ant_datatype_choices,
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_float_matrices_bit_identical(
+        self, rows, cols, sigma, bits, datatypes, seed
+    ):
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(0.0, sigma, (rows, cols))
+        weights[rng.random(rows) < 0.2] = 0.0
+        assert_ant_matches(weights, bits, datatypes)
+
+    @pytest.mark.parametrize("bits", range(3, 9))
+    def test_rows_with_the_most_negative_code(self, bits):
+        weights = np.array(
+            [
+                [-128, 127, 64, -1],
+                [-128, -128, -128, -128],
+                [127, -128, 0, 0],
+                [0, 0, 0, 0],
+                [1, -1, 0, 1],
+            ],
+            dtype=np.int64,
+        )
+        for datatypes in (ANT_DATATYPES, ("flint", "int"), ("pot",)):
+            assert_ant_matches(weights, bits, datatypes)
+        assert ant_quantize(weights, bits).values.max() <= 127
+
+    def test_zero_width_and_empty_matrices(self):
+        for weights in (
+            np.empty((3, 0), dtype=np.int64),
+            np.empty((3, 0)),
+            np.empty((0, 5), dtype=np.int8),
+            np.empty((0, 0)),
+        ):
+            assert_ant_matches(weights, 6)
+            assert ant_quantize(weights, 6).chosen_datatypes == ["int"] * len(weights)
+
+    def test_overflowing_errors_pick_the_first_datatype(self):
+        # Every MSE of this row overflows to inf; the loop used to fail an
+        # assert here.
+        weights = np.array([[1e160, -3.3e159, 5.1e159, 7.7e158]])
+        datatypes = ("pot", "flint", "int")
+        with np.errstate(over="ignore"):
+            assert_ant_matches(weights, 6, datatypes)
+            assert ant_quantize(weights, 6, datatypes).chosen_datatypes == ["pot"]
+
+    def test_duplicate_datatypes_match_the_loop(self):
+        weights = np.arange(-64, 64, dtype=np.int64).reshape(4, 32)
+        assert_ant_matches(weights, 5, ("pot", "int", "pot"))
+
+    def test_figure16_resnet50_layers_bit_identical(self):
+        # The layers figure 16 and Table II quantize to ANT 6-bit.
+        model = synthesize_model(
+            get_model("ResNet-50"), seed=0, max_channels=96, max_reduction=768
+        )
+        for layer in model.values():
+            assert_ant_matches(layer.int_weights, 6)
 
 
 def assert_column_ones_matches(values: np.ndarray, bits: int) -> None:

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from repro.core.metrics import kl_divergence
 from repro.core.binary_pruning import prune_tensor
 from repro.core.encoding import PruningStrategy
-from repro.quant.ant_datatype import ant_quantize, datatype_codebook
+from repro.quant.ant_datatype import (
+    ant_quantize,
+    ant_quantize_reference,
+    datatype_codebook,
+)
 from repro.quant.bitflip import bitflip_group, bitflip_tensor
 from repro.quant.microscaling import microscaling_quantize
 from repro.quant.noisyquant import noisyquant_quantize
@@ -192,6 +196,37 @@ class TestAnt:
     def test_rejects_tiny_bits(self, int8_matrix):
         with pytest.raises(ValueError):
             ant_quantize(int8_matrix, 2)
+
+    @pytest.mark.parametrize("quantize", [ant_quantize, ant_quantize_reference])
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            np.array([[1000, -500, 3, 0]], dtype=np.int16),
+            np.array([[200, 1]], dtype=np.uint8),
+            np.array([[-129, 0]], dtype=np.int64),
+        ],
+        ids=["int16", "uint8", "int64"],
+    )
+    def test_rejects_integers_outside_int8(self, quantize, weights):
+        with pytest.raises(ValueError, match="8-bit"):
+            quantize(weights, 6)
+
+    @pytest.mark.parametrize("quantize", [ant_quantize, ant_quantize_reference])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, quantize, bad):
+        with pytest.raises(ValueError, match="finite"):
+            quantize(np.array([[0.5, bad, -0.25]]), 6)
+
+    @pytest.mark.parametrize("quantize", [ant_quantize, ant_quantize_reference])
+    @pytest.mark.parametrize("datatypes", [(), ("int", "posit")])
+    def test_rejects_empty_or_unknown_datatypes(self, quantize, int8_matrix, datatypes):
+        with pytest.raises(ValueError):
+            quantize(int8_matrix, 6, datatypes=datatypes)
+
+    def test_channel_max_128_clips_to_the_int8_word(self):
+        # 127 / 128 snaps to the code 1.0 and would reconstruct as +128.
+        result = ant_quantize(np.array([[-128, 127]]), 3, datatypes=("int",))
+        assert result.values.tolist() == [[-128, 127]]
 
 
 class TestOlive:
