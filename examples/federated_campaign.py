@@ -3,8 +3,14 @@
 By default the script self-hosts two in-process service nodes on ephemeral
 ports, dispatches a small quantization campaign across them, runs the same
 campaign locally, and proves the two reports are byte-identical — the
-property that makes federation transparent.  Point it at real nodes
-(``python -m repro.cli serve`` on each machine) with ``--nodes``::
+property that makes federation transparent.
+
+Dispatching to a node list runs a gateway inside this process: each URL is
+admitted as a static member (its ``/v1/health`` registry digest must match),
+probed on ``/v1/readyz``, and every cell is routed by its content digest —
+the same routing and failover as a ``repro gateway`` fronting the nodes.
+Point it at real nodes (``python -m repro.cli serve`` on each machine) with
+``--nodes``::
 
     PYTHONPATH=src python examples/federated_campaign.py
     PYTHONPATH=src python examples/federated_campaign.py \

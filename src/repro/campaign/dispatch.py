@@ -1,40 +1,40 @@
-"""Federated campaign execution: fan cells out over remote ``repro serve`` nodes.
+"""Federated campaign execution: one campaign through one gateway endpoint.
 
 The dispatcher takes the same expanded, content-addressed plan the local
 :class:`~repro.campaign.runner.CampaignRunner` executes, but ships each cell
-to one of N remote service endpoints (``repro serve``) instead of a local
-worker pool.  Everything else is deliberately identical:
+to a gateway instead of a local worker pool: a running ``repro gateway``
+(``gateway=URL``) or, for ``endpoints=[URL, ...]`` (``--nodes``), an
+in-process :class:`~repro.gateway.server.GatewayServer` on ``127.0.0.1:0``
+that admits each URL as a static member and is closed when :meth:`run`
+returns.  The gateway does the federation: it routes each cell by content
+digest (a re-dispatched cell lands where its result is cached), refuses
+registry-skewed nodes, answers 429 for a saturated node, and replays a dead
+node's unfinished cells onto survivors — polls never see the death.
 
-* the run directory layout (``spec.json``/``manifest.json``/``results/``) is
-  produced by the same :class:`CampaignRunner` code path;
-* each finished cell is checkpointed atomically as ``results/<digest>.json``
-  with the same payload bytes a local run writes;
-* the aggregate ``report.json``/``report.csv`` are built only from the
-  manifest order and the checkpoint payloads.
-
-So a campaign dispatched across machines produces a report **byte-identical**
-to a local run, resumes idempotently (checkpointed cells are never
-re-sent), and tolerates node loss: when a node stops answering, its
-outstanding cells are reassigned to the surviving nodes, and a fully dead
-fleet fails the dispatch with the checkpoints intact — re-dispatching (or
-running locally) finishes the remainder.
-
-Grid DAG semantics match the local runner: a grid's cells are dispatched only
-after its dependency grids completed, and grids depending on a failed grid
-stay pending.  Load balancing is pull-based: each node holds at most
-``max_inflight`` cells, so fast nodes drain more of the queue and a node's
-``max_queued`` backpressure limit is respected by construction.
+What is left here is one loop: submit up to the window, poll, checkpoint,
+back off on 429.  Everything else is identical to a local run — the run
+directory layout, the per-cell ``results/<digest>.json`` checkpoints, and
+the report built only from the manifest order and the checkpoint payloads —
+so a dispatched report is **byte-identical** to a local one, resumes
+idempotently, and when no node is left the dispatch fails with
+:class:`DispatchError` and the checkpoints intact.  Grid DAG semantics match
+the local runner: a grid runs after its dependencies completed, and grids
+depending on a failed grid stay pending.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from ..eval.reporting import to_jsonable
+from ..gateway.registry import RegistrySkewError
+from ..gateway.server import GatewayServer
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_metrics
 from ..obs.timing import timed
@@ -44,15 +44,13 @@ from ..service.client import (
     ServiceRequestError,
     ServiceUnavailable,
 )
+from ..service.registry import compute_registry_digest
 from .runner import CampaignRunError, CampaignRunner, _write_atomic
 from .spec import CampaignJob, CampaignSpec
 
 __all__ = ["CampaignDispatcher", "DispatchError", "dispatch_campaign"]
 
-_COOLDOWNS_TOTAL = get_metrics().counter(
-    "repro_dispatch_cooldowns_total",
-    "Dispatcher 429-saturation cooldowns (node window shrunk, cell parked).",
-)
+_COOLDOWNS_TOTAL = get_metrics().get("repro_dispatch_cooldowns_total")
 
 #: Remote job states that end a cell.
 _TERMINAL = ("done", "failed", "cancelled")
@@ -63,40 +61,37 @@ _TERMINAL = ("done", "failed", "cancelled")
 #: turning the dispatch loop into a livelock.
 MAX_CELL_ATTEMPTS = 5
 
+#: Health timing of the in-process gateway behind ``endpoints``: members are
+#: probed every ``_PROBE_INTERVAL`` seconds, and one that has not answered
+#: for ``_DEAD_AFTER`` seconds is dead (its cells replay on survivors).
+_PROBE_INTERVAL = 0.25
+_SUSPECT_AFTER = 1.0
+_DEAD_AFTER = 2.0
+
 
 class DispatchError(RuntimeError):
     """No reachable node is left to run the remaining cells."""
 
 
-def _codec_uses(job: CampaignJob) -> list[tuple[str, dict]]:
-    """Every ``(codec name, params)`` pair a ``codec_compress`` job invokes."""
-    if job.scenario != "codec_compress":
-        return []
-    uses: list[tuple[str, dict]] = []
-    name = job.params.get("codec")
-    if isinstance(name, str) and name:
-        uses.append((name, dict(job.params.get("params") or {})))
-    for stage in job.params.get("stages") or []:
-        if isinstance(stage, dict) and isinstance(stage.get("codec"), str):
-            uses.append((stage["codec"], dict(stage.get("params") or {})))
-    return uses
+def _breaker_stats(client) -> dict | None:
+    breaker = getattr(client, "breaker", None)  # test doubles may lack one
+    return breaker.stats() if breaker is not None else None
 
 
 @dataclass
 class _Node:
-    """One remote endpoint and what the dispatcher knows about it."""
+    """One endpoint URL as the run's stats report it."""
 
     url: str
-    client: ServiceClient
+    #: The dispatcher's client; under ``endpoints`` every member shares the
+    #: client of the in-process gateway (set once :meth:`run` opened it).
+    client: ServiceClient | None = None
     alive: bool = True
     reason: str = ""
-    outstanding: int = 0
-    completed: int = 0
     submitted: int = 0
-    #: Current submission window; shrunk when the node reports saturation.
-    window: int = 1
-    #: Monotonic time before which a saturated node is not offered new cells.
-    cooldown_until: float = 0.0
+    completed: int = 0
+    #: Circuit-breaker state of the client that reached this URL.
+    breaker: dict | None = None
 
     def summary(self) -> dict:
         summary = {
@@ -106,32 +101,30 @@ class _Node:
             "submitted": self.submitted,
             "completed": self.completed,
         }
-        # Real ServiceClients carry a circuit breaker; test doubles may not.
-        breaker = getattr(self.client, "breaker", None)
-        if breaker is not None:
-            summary["breaker"] = breaker.stats()
+        if self.breaker is not None:
+            summary["breaker"] = self.breaker
         return summary
 
 
 @dataclass
 class _Cell:
-    """One in-flight cell: where it currently runs and under which remote id."""
+    """One cell on its way through the endpoint."""
 
     job: CampaignJob
-    node: _Node
-    remote_id: str
-    attempts: int = field(default=1)
+    remote_id: str = ""
+    #: Submissions the endpoint answered (landed or rejected).
+    attempts: int = 0
     #: The cell's ``dispatch.cell`` span, open from first submission until
-    #: checkpoint or give-up; reassignments keep (and re-propagate) it, so
-    #: one cell is one span however many nodes it visited.
+    #: checkpoint or give-up; resubmissions keep (and re-propagate) it, so
+    #: one cell is one span however often it was sent.
     span: obs_trace.Span | None = field(default=None, repr=False)
-    #: Wall-clock first-submission time, surviving reassignments — the basis
+    #: Wall-clock first-submission time, surviving resubmissions — the basis
     #: of the checkpoint's ``wall_seconds``.
-    started_at: float = field(default_factory=time.time)
+    started_at: float = 0.0
 
 
 class CampaignDispatcher:
-    """Execute (or resume) one campaign across remote service endpoints."""
+    """Execute (or resume) one campaign through one gateway endpoint."""
 
     def __init__(
         self,
@@ -146,16 +139,10 @@ class CampaignDispatcher:
         ingest_db: str | None = None,
         gateway: str | None = None,
     ):
-        # Gateway mode: one front-door URL replaces the node list — the
-        # gateway routes each cell by content digest, so the dispatcher's
-        # own load balancing degenerates to a single "node" while routing,
-        # failover, and cache affinity happen behind the URL.
         self.gateway = gateway.rstrip("/") if gateway else None
-        if self.gateway is not None:
-            if endpoints:
-                raise ValueError("pass either endpoints or gateway=, not both")
-            endpoints = [self.gateway]
-        if not endpoints:
+        if self.gateway is not None and endpoints:
+            raise ValueError("pass either endpoints or gateway=, not both")
+        if self.gateway is None and not endpoints:
             raise ValueError("at least one service endpoint is required")
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
@@ -167,218 +154,191 @@ class CampaignDispatcher:
         self.plan = self.runner.plan
         self.run_dir = self.runner.run_dir
         self.poll_interval = poll_interval
+        #: Cells held per node: the window is this times the admitted nodes.
         self.max_inflight = max_inflight
-        options = dict(client_options or {})
-        self.nodes = [
-            _Node(url.rstrip("/"), client_factory(url, **options), window=max_inflight)
-            for url in endpoints
-        ]
-        self._rr = 0  # round-robin tiebreak between equally loaded nodes
+        self._client_factory = client_factory
+        self._client_options = dict(client_options or {})
+        self.client: ServiceClient | None = None
+        if self.gateway is not None:
+            self.client = client_factory(self.gateway, **self._client_options)
+            self.nodes = [_Node(self.gateway, self.client)]
+        else:
+            self.nodes = [_Node(url.rstrip("/")) for url in endpoints]
         self.stats: dict[str, Any] = {}
+        self._window = max_inflight
         self._cooldowns = 0
         self._root_span: obs_trace.Span | None = None
+        #: The in-process gateway while :meth:`run` drives ``endpoints``.
+        self._local_gateway: GatewayServer | None = None
+        self._members: dict[str, _Node] = {}
 
     # ------------------------------------------------------------------ #
-    # Node management
+    # The endpoint
     # ------------------------------------------------------------------ #
 
-    def _alive_nodes(self) -> list[_Node]:
-        return [node for node in self.nodes if node.alive]
+    @contextmanager
+    def _endpoint(self):
+        """Open the run's one endpoint; for ``endpoints``, host it here.
 
-    def _mark_dead(self, node: _Node, reason: str) -> None:
-        node.alive = False
-        node.reason = reason
-
-    def _probe_nodes(self) -> None:
-        """Health-check and registry-validate every node before submitting.
-
-        Beyond liveness, each node's ``GET /v1/scenarios`` listing is checked
-        against every scenario and parameter name the plan will submit —
-        registry skew (a node built from a different revision) is caught at
-        probe time instead of burning submissions.  A node down or skewed at
-        start is skipped, not fatal.
+        The in-process gateway admits each URL as a static member (a node
+        that does not answer ``GET /v1/health`` or reports another registry
+        digest is left out, not fatal), serves on an ephemeral local port,
+        and is closed on the way out — after one last probe, so the node
+        rows report who was still answering when the run ended.
         """
-        requirements: dict[str, set[str]] = {}
-        codec_requirements: dict[str, set[str]] = {}
-        for job in self.plan.jobs:
-            requirements.setdefault(job.scenario, set()).update(job.params)
-            for name, params in _codec_uses(job):
-                codec_requirements.setdefault(name, set()).update(params)
-        for node in self.nodes:
-            try:
-                node.client.health()
-                for scenario, param_names in sorted(requirements.items()):
-                    node.client.validate_job(scenario, dict.fromkeys(param_names))
-                if codec_requirements:
-                    self._validate_node_codecs(node, codec_requirements)
-            except ServiceError as error:
-                self._mark_dead(node, f"health check failed: {error}")
-            except ValueError as error:
-                self._mark_dead(node, f"registry skew: {error}")
-        if not self._alive_nodes():
-            raise DispatchError(self._dead_fleet_message())
+        if self.gateway is not None:
+            yield
+            return
+        gateway = GatewayServer(
+            ("127.0.0.1", 0),
+            registry=self.runner.registry,
+            suspect_after=_SUSPECT_AFTER,
+            dead_after=_DEAD_AFTER,
+            sweep_interval=_PROBE_INTERVAL,
+        )
+        # A short serve-loop poll: closing waits for the loop to notice.
+        thread = threading.Thread(
+            target=gateway.serve_forever, args=(0.05,), name="dispatch-gateway", daemon=True
+        )
+        thread.start()
+        self._local_gateway = gateway
+        try:
+            for node in self.nodes:
+                client = self._client_factory(node.url, **self._client_options)
+                try:
+                    member = gateway.admit_static(node.url, client)
+                except RegistrySkewError as error:
+                    node.alive, node.reason = False, f"registry skew: {error}"
+                except ServiceError as error:
+                    node.alive, node.reason = False, f"health check failed: {error}"
+                else:
+                    self._members[member.node_id] = node
+            if not self._members:
+                raise DispatchError(self._dead_fleet_message())
+            self.client = self._client_factory(
+                f"http://127.0.0.1:{gateway.port}", **self._client_options
+            )
+            for node in self.nodes:
+                node.client = self.client
+            self._window = self.max_inflight * len(self._members)
+            yield
+        finally:
+            gateway.probe_static()
+            self._refresh_members()
+            self._local_gateway = None
+            gateway.close()
+            thread.join(timeout=5.0)
 
-    @staticmethod
-    def _validate_node_codecs(node: _Node, required: dict[str, set[str]]) -> None:
-        """Check the node's ``/v1/codecs`` against every codec the plan uses.
+    def _refresh_members(self) -> None:
+        """Copy the in-process gateway's view of each member into its row."""
+        gateway = self._local_gateway
+        for node_id, node in self._members.items():
+            member = gateway.nodes.get(node_id)
+            node.alive = member.state == "healthy"
+            node.reason = member.reason
+            node.breaker = _breaker_stats(gateway.node_client(node_id))
 
-        ``codec_compress`` cells pass the scenario-level probe on any node —
-        their codec identity lives in nested parameters — so codec-level skew
-        (a missing plugin codec, an older codec schema) must be caught here
-        or every affected cell burns its submission retries at run time.
+    def _check_registry(self) -> None:
+        """The one skew check: the endpoint must canonicalize like the plan."""
+        try:
+            remote = self.client.health().get("registry_digest")
+        except ServiceError as error:
+            self._lose_endpoint(f"health check failed: {error}")
+        local = compute_registry_digest(self.runner.registry)
+        if remote != local:
+            self._lose_endpoint(
+                f"registry skew: endpoint digest {str(remote)[:12]}..., "
+                f"local plan {local[:12]}..."
+            )
+
+    def _lose_endpoint(self, reason: str) -> NoReturn:
+        """Fail the dispatch: the endpoint (or every node behind it) is gone.
+
+        ``reason`` goes to a remote gateway's row; the in-process gateway's
+        rows report each member's own state and reason.
         """
-        available = {
-            entry["name"]: set(entry.get("params", {}))
-            for entry in node.client.codecs()
-        }
-        for name, param_names in sorted(required.items()):
-            if name not in available:
-                raise ValueError(
-                    f"{node.url}: codec {name!r} is not registered on the node; "
-                    f"available: {sorted(available)}"
-                )
-            unknown = sorted(param_names - available[name])
-            if unknown:
-                raise ValueError(
-                    f"{node.url}: codec {name!r} does not accept parameter(s) "
-                    f"{unknown}; accepted: {sorted(available[name])}"
-                )
+        if self._local_gateway is not None:
+            self._refresh_members()
+        else:
+            for node in self.nodes:
+                node.alive, node.reason = False, reason
+        raise DispatchError(self._dead_fleet_message())
+
+    def _check_nodes_left(self, error: ServiceUnavailable | None = None) -> None:
+        """Raise :class:`DispatchError` once no node can run a cell.
+
+        ``error`` is a request the endpoint failed through every retry: a
+        remote gateway that does so is gone.  The in-process gateway is gone
+        once every member is dead — a suspect one may answer its next probe,
+        and until then its cells poll as ``queued``.
+        """
+        gateway = self._local_gateway
+        if gateway is None:
+            if error is not None:
+                self._lose_endpoint(str(error))
+            return
+        if not any(m.state in ("healthy", "suspect") for m in gateway.nodes.nodes()):
+            self._lose_endpoint("no member left")
 
     def _dead_fleet_message(self) -> str:
         details = "; ".join(f"{node.url}: {node.reason}" for node in self.nodes)
         return f"no reachable service node left ({details})"
 
-    def _pick_node(self, ignore_window: bool = False) -> _Node | None:
-        """Least-loaded alive node under ``max_inflight``, round-robin on ties.
-
-        ``ignore_window=True`` (used when reassigning a dead node's cells,
-        which must land *somewhere*) picks the least-loaded alive node even
-        if every window is full.
-        """
-        candidates = self._alive_nodes()
-        if not ignore_window:
-            now = time.monotonic()
-            candidates = [
-                n for n in candidates
-                if n.outstanding < n.window and now >= n.cooldown_until
-            ]
-        if not candidates:
-            return None
-        load = min(node.outstanding for node in candidates)
-        tied = [node for node in candidates if node.outstanding == load]
-        self._rr += 1
-        return tied[self._rr % len(tied)]
+    def _node_for(self, record: dict) -> _Node | None:
+        """The stats row a gateway record belongs to."""
+        if self.gateway is not None:
+            return self.nodes[0]
+        return self._members.get(record.get("node"))
 
     # ------------------------------------------------------------------ #
     # Cell submission / completion
     # ------------------------------------------------------------------ #
 
-    def _submit_cell(
-        self,
-        job: CampaignJob,
-        attempts: int = 1,
-        ignore_window: bool = False,
-        cell_span: obs_trace.Span | None = None,
-        started_at: float | None = None,
-    ) -> _Cell:
-        """Submit one cell to some alive node, failing over on dead ones.
+    def _submit(self, cell: _Cell) -> None:
+        """POST one cell to the endpoint (raises the client's errors).
 
-        The cell's ``dispatch.cell`` span (created on first submission,
-        reused on reassignments) is *activated* around the submit call, so
-        the client propagates it in ``X-Repro-Trace`` and the remote node's
-        ``http.request``/``job.run`` spans become its children — one
+        The cell's ``dispatch.cell`` span is *activated* around the call, so
+        the client propagates it in ``X-Repro-Trace``: the gateway's
+        ``gateway.request`` span and, below it, the node's
+        ``http.request``/``job.run`` spans become its descendants — one
         connected trace per cell across machines.
         """
-        if cell_span is None:
-            cell_span = obs_trace.start_span(
+        if cell.span is None:
+            cell.span = obs_trace.start_span(
                 "dispatch.cell",
-                attrs={"cell": job.cell, "grid": job.grid, "scenario": job.scenario},
+                attrs={"cell": cell.job.cell, "grid": cell.job.grid,
+                       "scenario": cell.job.scenario},
                 parent=self._root_span.context if self._root_span else None,
             )
-        if started_at is None:
-            started_at = time.time()
-        while True:
-            node = self._pick_node(ignore_window=ignore_window)
-            if node is None and self._alive_nodes():
-                # A failover mid-submit can leave every survivor at its
-                # window limit; the cell still has to land somewhere.
-                node = self._pick_node(ignore_window=True)
-            if node is None:
-                cell_span.finish(error="no reachable node left")
-                raise DispatchError(self._dead_fleet_message())
-            # The spec's per-job budget rides along on every cell (only when
-            # set, so client doubles without the kwarg keep working).
-            submit_kwargs: dict = {}
-            if getattr(self.spec, "deadline_s", None) is not None:
-                submit_kwargs["deadline_s"] = self.spec.deadline_s
+            cell.started_at = time.time()
+        # The spec's per-job budget rides along on every cell (only when
+        # set, so client doubles without the kwarg keep working).
+        submit_kwargs: dict = {}
+        if getattr(self.spec, "deadline_s", None) is not None:
+            submit_kwargs["deadline_s"] = self.spec.deadline_s
+        with obs_trace.activate(cell.span):
             try:
-                with obs_trace.activate(cell_span):
-                    record = node.client.submit(
-                        job.scenario, to_jsonable(job.params), **submit_kwargs
-                    )
-            except ServiceUnavailable as error:
-                if error.saturated:
-                    # A full queue (429 through every retry) is backpressure,
-                    # not death: shrink the node's window, let it cool down,
-                    # and place the cell elsewhere (or wait for a drain).
-                    node.window = max(1, node.outstanding)
-                    node.cooldown_until = time.monotonic() + max(self.poll_interval, 0.05)
-                    self._cooldowns += 1
-                    _COOLDOWNS_TOTAL.inc()
-                    if self._pick_node() is None:
-                        time.sleep(max(self.poll_interval, 0.05))
-                    continue
-                self._mark_dead(node, str(error))
-                continue
-            except ServiceRequestError as error:
-                # The node rejected the submission outright (e.g. its registry
-                # does not know the scenario): version skew — refuse the node,
-                # keep the cell for the rest of the fleet.
-                self._mark_dead(node, f"rejected {job.cell}: {error}")
-                continue
-            if record.get("digest") != job.digest:
-                # The node canonicalizes against a different registry than the
-                # local plan: its results would be checkpointed under the
-                # wrong content address.  Refuse the node, not the cell.
-                self._mark_dead(
-                    node,
-                    f"digest mismatch for cell {job.cell} (local {job.digest[:12]}..., "
-                    f"remote {str(record.get('digest'))[:12]}...): registry skew",
+                record = self.client.submit(
+                    cell.job.scenario, to_jsonable(cell.job.params), **submit_kwargs
                 )
-                continue
-            node.outstanding += 1
+            except ServiceRequestError:
+                cell.attempts += 1  # the endpoint answered: it counts
+                raise
+        cell.attempts += 1
+        cell.remote_id = record["job_id"]
+        node = self._node_for(record)
+        if node is not None:
             node.submitted += 1
-            cell_span.set_attr("node", node.url)
-            return _Cell(
-                job=job,
-                node=node,
-                remote_id=record["job_id"],
-                attempts=attempts,
-                span=cell_span,
-                started_at=started_at,
-            )
+            cell.span.set_attr("node", node.url)
 
-    def _reassign(self, cell: _Cell, reason: str) -> _Cell:
-        """Move a dead node's cell to a surviving node (window ignored)."""
-        self._mark_dead(cell.node, reason)
-        cell.node.outstanding = 0
-        return self._submit_cell(
-            cell.job,
-            attempts=cell.attempts + 1,
-            ignore_window=True,
-            cell_span=cell.span,
-            started_at=cell.started_at,
-        )
-
-    @staticmethod
-    def _cell_timing(cell: _Cell, record: dict) -> dict:
+    def _cell_timing(self, cell: _Cell, record: dict, node: _Node | None) -> dict:
         """Provenance block for a remotely executed cell's checkpoint.
 
         Mirrors :func:`repro.campaign.runner.job_timing` for local runs, with
         the node URL as the worker identity; ``wall_seconds`` spans from first
-        submission, so reassignments and retries are included.
+        submission, so resubmissions and failovers are included.
         """
-        worker = cell.node.url
+        worker = node.url if node is not None else self.client.base_url
         remote_worker = record.get("worker")
         if isinstance(remote_worker, str) and remote_worker:
             worker = f"{worker}#{remote_worker}"
@@ -401,7 +361,7 @@ class CampaignDispatcher:
         Writes the aggregate report when the whole manifest is checkpointed
         (exactly like a completing local run) and raises
         :class:`~repro.campaign.runner.CampaignRunError` when cells failed
-        remotely, or :class:`DispatchError` when every node died.
+        remotely, or :class:`DispatchError` when no node is left.
         """
         executed = 0
         skipped = 0
@@ -423,19 +383,19 @@ class CampaignDispatcher:
             try:
                 self.runner.prepare_run_dir()
                 completed = self.runner.completed_digests()
-                self._probe_nodes()
-
-                for grid_name in self.plan.stage_order:
-                    grid = next(g for g in self.spec.grids if g.name == grid_name)
-                    if any(dep in failed_grids for dep in grid.depends_on):
-                        failed_grids.add(grid_name)  # dependents of failures stay pending
-                        continue
-                    grid_jobs = self.plan.jobs_for_grid(grid_name)
-                    pending = [job for job in grid_jobs if job.digest not in completed]
-                    skipped += len(grid_jobs) - len(pending)
-                    executed += self._run_grid(
-                        grid_name, pending, completed, failures, failed_grids
-                    )
+                with self._endpoint():
+                    self._check_registry()
+                    for grid_name in self.plan.stage_order:
+                        grid = next(g for g in self.spec.grids if g.name == grid_name)
+                        if any(dep in failed_grids for dep in grid.depends_on):
+                            failed_grids.add(grid_name)  # dependents of failures stay pending
+                            continue
+                        grid_jobs = self.plan.jobs_for_grid(grid_name)
+                        pending = [job for job in grid_jobs if job.digest not in completed]
+                        skipped += len(grid_jobs) - len(pending)
+                        executed += self._run_grid(
+                            grid_name, pending, completed, failures, failed_grids
+                        )
 
                 if not failures:
                     completed = self.runner.completed_digests()
@@ -445,6 +405,8 @@ class CampaignDispatcher:
             finally:
                 self._root_span.finish(status="error" if failures else "ok")
 
+        if self.gateway is not None:
+            self.nodes[0].breaker = _breaker_stats(self.client)
         self.stats = {
             "campaign": self.spec.name,
             "spec_digest": self.plan.spec_digest(),
@@ -469,21 +431,15 @@ class CampaignDispatcher:
         return self.stats
 
     def _client_summary(self) -> dict:
-        """Aggregate retry/cooldown counts for the end-of-run summary.
+        """Retry/cooldown counts for the end-of-run summary.
 
         Tolerates client doubles without the retry tally (tests inject
         factories); real :class:`ServiceClient` instances always have it.
         """
-        total = 0
-        by_reason: dict[str, int] = {}
-        for node in self.nodes:
-            tally = getattr(node.client, "retries_by_reason", None) or {}
-            for reason, count in tally.items():
-                by_reason[reason] = by_reason.get(reason, 0) + count
-                total += count
+        tally = getattr(self.client, "retries_by_reason", None) or {}
         return {
-            "retries": total,
-            "retries_by_reason": dict(sorted(by_reason.items())),
+            "retries": sum(tally.values()),
+            "retries_by_reason": dict(sorted(tally.items())),
             "cooldowns_429": self._cooldowns,
         }
 
@@ -495,91 +451,88 @@ class CampaignDispatcher:
         failures: list[tuple[CampaignJob, str]],
         failed_grids: set[str],
     ) -> int:
-        """Fan one grid's pending cells over the fleet; return cells executed."""
-        queue = list(pending)
+        """Run one grid's pending cells through the endpoint; return cells executed."""
+        queue = [_Cell(job) for job in pending]
         outstanding: dict[str, _Cell] = {}  # digest -> in-flight cell
         executed = 0
         idle_sleep = self.poll_interval
 
+        def retry_or_fail(cell: _Cell, error: ServiceRequestError) -> None:
+            # Usually the endpoint no longer knows the record (a node's
+            # finished history is bounded) and the result is still in the
+            # node's content-hash cache, so resubmitting is an instant hit.
+            # Bounded, because a *persistent* error (e.g. a result the node
+            # cannot serialize is a 500 on every fetch) would otherwise
+            # livelock the dispatch.
+            if cell.attempts >= MAX_CELL_ATTEMPTS:
+                failures.append(
+                    (cell.job, f"gave up after {cell.attempts} attempt(s): {error}")
+                )
+                failed_grids.add(grid_name)
+                cell.span.finish(error=f"gave up after {cell.attempts} attempt(s)")
+            else:
+                queue.insert(0, cell)
+
         while queue or outstanding:
-            # Keep every node's window full (fast nodes pull more cells).
-            while queue and self._pick_node() is not None:
-                cell = self._submit_cell(queue.pop(0))
+            self._check_nodes_left()
+            while queue and len(outstanding) < self._window:
+                cell = queue.pop(0)
+                try:
+                    self._submit(cell)
+                except ServiceUnavailable as error:
+                    queue.insert(0, cell)  # parked until the endpoint drains
+                    if not error.saturated:
+                        self._check_nodes_left(error)
+                        break
+                    # A full queue (429 through every retry) is backpressure,
+                    # not death: hold no more than what is in flight now.
+                    self._window = max(1, len(outstanding))
+                    self._cooldowns += 1
+                    _COOLDOWNS_TOTAL.inc()
+                    break
+                except ServiceRequestError as error:
+                    # The endpoint refused this cell outright.
+                    retry_or_fail(cell, error)
+                    continue
                 outstanding[cell.job.digest] = cell
 
+            # Only poll outcomes count as progress: a fresh submission does
+            # not skip the back-off, or every cell would cost an extra poll.
             progressed = False
             for digest, cell in list(outstanding.items()):
-                if not cell.node.alive:
-                    # The node died while other cells were being handled; do
-                    # not burn a full retry cycle against it per cell.
-                    outstanding[digest] = self._submit_cell(
-                        cell.job,
-                        attempts=cell.attempts + 1,
-                        ignore_window=True,
-                        cell_span=cell.span,
-                        started_at=cell.started_at,
-                    )
-                    progressed = True
-                    continue
                 try:
-                    record = cell.node.client.job(cell.remote_id)
+                    record = self.client.job(cell.remote_id)
                     if record["state"] == "done":
-                        record = cell.node.client.result(cell.remote_id)
+                        record = self.client.result(cell.remote_id)
                 except ServiceUnavailable as error:
-                    outstanding[digest] = self._reassign(cell, str(error))
-                    progressed = True
+                    self._check_nodes_left(error)
                     continue
                 except ServiceRequestError as error:
-                    # Usually the remote job store evicted this record (its
-                    # finished history is bounded) and the result is still in
-                    # the node's content-hash cache, so resubmitting is an
-                    # instant hit.  Bounded, because a *persistent* error
-                    # (e.g. a result the node cannot serialize is a 500 on
-                    # every fetch) would otherwise livelock the dispatch.
-                    cell.node.outstanding = max(cell.node.outstanding - 1, 0)
                     del outstanding[digest]
                     progressed = True
-                    if cell.attempts >= MAX_CELL_ATTEMPTS:
-                        failures.append(
-                            (cell.job,
-                             f"gave up after {cell.attempts} attempt(s): {error}")
-                        )
-                        failed_grids.add(grid_name)
-                        if cell.span is not None:
-                            cell.span.finish(
-                                error=f"gave up after {cell.attempts} attempt(s)"
-                            )
-                    else:
-                        outstanding[digest] = self._submit_cell(
-                            cell.job,
-                            attempts=cell.attempts + 1,
-                            ignore_window=True,
-                            cell_span=cell.span,
-                            started_at=cell.started_at,
-                        )
+                    retry_or_fail(cell, error)
                     continue
                 if record["state"] not in _TERMINAL:
                     continue
-                cell.node.outstanding = max(cell.node.outstanding - 1, 0)
                 del outstanding[digest]
                 progressed = True
                 if record["state"] == "done":
+                    node = self._node_for(record)
                     self.runner.checkpoint(
-                        cell.job, record["result"], timing=self._cell_timing(cell, record)
+                        cell.job, record["result"], timing=self._cell_timing(cell, record, node)
                     )
                     completed.add(digest)
-                    cell.node.completed += 1
+                    if node is not None:
+                        node.completed += 1
                     executed += 1
-                    if cell.span is not None:
-                        cell.span.set_attr("attempts", cell.attempts)
-                        cell.span.finish()
+                    cell.span.set_attr("attempts", cell.attempts)
+                    cell.span.finish()
                 else:
                     failures.append(
                         (cell.job, record.get("error") or f"remote job {record['state']}")
                     )
                     failed_grids.add(grid_name)
-                    if cell.span is not None:
-                        cell.span.finish(error=f"remote job {record['state']}")
+                    cell.span.finish(error=f"remote job {record['state']}")
             if progressed:
                 idle_sleep = self.poll_interval
             elif queue or outstanding:

@@ -93,11 +93,7 @@ _EXCEPTIONS: dict[str, type[BaseException]] = {
     "MemoryError": MemoryError,
 }
 
-_INJECTIONS_TOTAL = get_metrics().counter(
-    "repro_chaos_injections_total",
-    "Faults injected by the active chaos plan, by injection point and mode.",
-    ("point", "mode"),
-)
+_INJECTIONS_TOTAL = get_metrics().get("repro_chaos_injections_total")
 
 
 class ChaosSpecError(ValueError):

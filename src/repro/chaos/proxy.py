@@ -45,12 +45,7 @@ from ..obs.metrics import get_metrics
 
 __all__ = ["ChaosProxy"]
 
-_PROXY_FAULTS = get_metrics().counter(
-    "repro_chaos_proxy_faults_total",
-    "Wire-level faults injected by ChaosProxy, by kind "
-    "(forwarded, reset, error, latency, truncated).",
-    ("kind",),
-)
+_PROXY_FAULTS = get_metrics().get("repro_chaos_proxy_faults_total")
 
 #: Reason phrases for the synthetic error responses the proxy can fabricate.
 _REASONS = {429: "Too Many Requests", 500: "Internal Server Error",

@@ -313,14 +313,16 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         metavar="URL",
-        help="service endpoints, e.g. http://host-a:8000 http://host-b:8000",
+        help="service endpoints, e.g. http://host-a:8000 http://host-b:8000; "
+        "admitted as static members of an in-process gateway that routes "
+        "each cell by content digest and fails cells over from lost nodes",
     )
     campaign_dispatch.add_argument(
         "--gateway",
         default=None,
         metavar="URL",
-        help="dispatch through a `repro gateway` front door instead of "
-        "--nodes: the gateway routes each cell by content digest and "
+        help="dispatch through a running `repro gateway` front door instead "
+        "of --nodes: the gateway routes each cell by content digest and "
         "handles node failover transparently",
     )
     campaign_dispatch.add_argument(
@@ -340,7 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-inflight",
         type=int,
         default=8,
-        help="cells held on each node at once (backpressure-aware window)",
+        help="cells held on each node at once: the window is this times the "
+        "admitted --nodes, or this for a --gateway; a 429 shrinks it",
     )
     campaign_dispatch.add_argument(
         "--poll-interval",

@@ -37,11 +37,7 @@ from ..obs.trace import span as _trace_span
 
 #: Resolved once: the per-call get-or-create lookup (name/label validation)
 #: is measurable against sub-millisecond codec compressions.
-_COMPRESS_SECONDS = get_metrics().histogram(
-    "repro_codec_compress_seconds",
-    "Codec compress latency per codec (pipelines report as 'pipeline').",
-    ("codec",),
-)
+_COMPRESS_SECONDS = get_metrics().get("repro_codec_compress_seconds")
 
 __all__ = [
     "Codec",

@@ -88,11 +88,7 @@ class PipelineCodec(Codec):
         current = original
         stage_metrics: list[StageMetrics] = []
         last: CompressionResult | None = None
-        stage_seconds = get_metrics().histogram(
-            "repro_pipeline_stage_seconds",
-            "Per-stage compress latency inside pipeline codecs.",
-            ("codec",),
-        )
+        stage_seconds = get_metrics().get("repro_pipeline_stage_seconds")
         for position, entry in enumerate(stages):
             codec = get_codec(entry["codec"])
             # One span + one latency sample per stage; timing stays out of

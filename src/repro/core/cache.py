@@ -33,14 +33,11 @@ __all__ = ["MISSING", "CacheStats", "ResultCache"]
 # aggregate across instances (service pool, campaign pools, artifact memo)
 # for /v1/metrics scrapes.  Bound once — counter lookups are off the hot path.
 _OBS = get_metrics()
-_OBS_HITS = _OBS.counter("repro_cache_hits_total", "Result-cache hits (memory or disk).")
-_OBS_MISSES = _OBS.counter("repro_cache_misses_total", "Result-cache misses.")
-_OBS_STORES = _OBS.counter("repro_cache_stores_total", "Result-cache stores.")
-_OBS_EVICTIONS = _OBS.counter("repro_cache_evictions_total", "Result-cache LRU evictions.")
-_OBS_DISK_ERRORS = _OBS.counter(
-    "repro_cache_disk_errors_total",
-    "Failed best-effort disk reads/writes of the result cache.",
-)
+_OBS_HITS = _OBS.get("repro_cache_hits_total")
+_OBS_MISSES = _OBS.get("repro_cache_misses_total")
+_OBS_STORES = _OBS.get("repro_cache_stores_total")
+_OBS_EVICTIONS = _OBS.get("repro_cache_evictions_total")
+_OBS_DISK_ERRORS = _OBS.get("repro_cache_disk_errors_total")
 
 
 class _Missing:

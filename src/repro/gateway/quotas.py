@@ -52,12 +52,7 @@ _TENANT_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 ANONYMOUS_TENANT = "anonymous"
 
 _OBS = get_metrics()
-_REJECTIONS = _OBS.counter(
-    "repro_gateway_quota_rejections_total",
-    "Gateway requests refused by tenant quotas, by tenant and reason "
-    "(rate, inflight, unauthorized).",
-    ("tenant", "reason"),
-)
+_REJECTIONS = _OBS.get("repro_gateway_quota_rejections_total")
 
 
 class UnknownKeyError(ValueError):

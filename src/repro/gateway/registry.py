@@ -6,8 +6,8 @@ Each heartbeat carries the node's queue depth (for observability) and its
 codec schemas.  A node whose digest differs from the gateway's is refused at
 registration (HTTP 409): routing by content digest only works when every
 party canonicalizes parameters identically, so registry skew is rejected at
-the door instead of surfacing later as checkpoint corruption (the same
-invariant the campaign dispatcher enforces per-response).
+the door instead of surfacing later as checkpoint corruption (the gateway
+also checks each proxied response's digest).
 
 Health is heartbeat-driven and moves one way between sweeps::
 
@@ -20,6 +20,9 @@ alone (it may merely be slow); a *dead* node's unfinished jobs are replayed
 onto survivors from the replica journal (see :mod:`repro.gateway.server`).
 A heartbeat from a suspect node restores it to healthy; a dead node must
 re-register (its replica journal continues under the same stable node id).
+Static members have no agent: the gateway's sweeper probes them instead,
+counting an answered ``GET /v1/readyz`` as a heartbeat and demoting a
+failed one with :meth:`NodeRegistry.mark_suspect`.
 Every transition is counted in ``repro_gateway_node_transitions_total`` and
 traced as a ``gateway.node.transition`` span.
 """
@@ -33,9 +36,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..core.hashing import stable_digest
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_metrics
+from ..service.registry import compute_registry_digest
 
 __all__ = [
     "Node",
@@ -54,22 +57,9 @@ NODE_STATES = ("healthy", "suspect", "dead", "left")
 _NODE_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 _OBS = get_metrics()
-_NODES_GAUGE = _OBS.gauge(
-    "repro_gateway_nodes",
-    "Registered nodes currently in each health state.",
-    ("state",),
-)
-_TRANSITIONS = _OBS.counter(
-    "repro_gateway_node_transitions_total",
-    "Node health-state transitions observed by the gateway registry, "
-    "by new state.",
-    ("state",),
-)
-_HEARTBEATS = _OBS.counter(
-    "repro_gateway_heartbeats_total",
-    "Node heartbeats handled by the gateway, by outcome (ok, unknown, skew).",
-    ("outcome",),
-)
+_NODES_GAUGE = _OBS.get("repro_gateway_nodes")
+_TRANSITIONS = _OBS.get("repro_gateway_node_transitions_total")
+_HEARTBEATS = _OBS.get("repro_gateway_heartbeats_total")
 
 
 class RegistrySkewError(ValueError):
@@ -78,23 +68,6 @@ class RegistrySkewError(ValueError):
 
 class UnknownNodeError(KeyError):
     """Heartbeat/journal/deregister for a node id never registered."""
-
-
-def compute_registry_digest(registry) -> str:
-    """Stable digest of a node's canonicalization surface.
-
-    Hashes the scenario registry's full description (names and canonical
-    default parameters) together with every codec schema — exactly the
-    inputs that determine how a submission canonicalizes into a content
-    digest.  Two processes with equal digests compute identical job digests
-    for identical bodies, which is what lets the gateway route by digest and
-    nodes verify it.
-    """
-    from .. import codecs
-
-    return stable_digest(
-        "repro-registry", registry.describe(), codecs.describe_codecs()
-    )
 
 
 def node_id_for_url(url: str) -> str:
@@ -279,8 +252,11 @@ class NodeRegistry:
                 silent_for = now - node.last_heartbeat
                 if node.state in ("healthy", "suspect") and silent_for >= self.dead_after:
                     transitions.append((node, node.state, "dead"))
+                    reason = f"no heartbeat for {silent_for:.1f}s"
+                    if node.state == "suspect" and node.reason:
+                        reason += f" (suspect since: {node.reason})"  # keep the cause
                     node.state = "dead"
-                    node.reason = f"no heartbeat for {silent_for:.1f}s"
+                    node.reason = reason
                 elif node.state == "healthy" and silent_for >= self.suspect_after:
                     transitions.append((node, node.state, "suspect"))
                     node.state = "suspect"

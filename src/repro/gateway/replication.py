@@ -35,12 +35,7 @@ __all__ = ["ReplicaStore"]
 
 _NODE_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
-_OBS_LINES = get_metrics().counter(
-    "repro_gateway_replicated_lines_total",
-    "Journal lines offered to the gateway's replica store, by outcome "
-    "(accepted, rejected).",
-    ("outcome",),
-)
+_OBS_LINES = get_metrics().get("repro_gateway_replicated_lines_total")
 
 #: Finish events, mirroring the service journal's terminal states.
 _FINISH_EVENTS = ("done", "failed", "cancelled")

@@ -3,16 +3,22 @@
 ``repro gateway`` serves the same submission surface as a node
 (``POST /v1/jobs``, ``/v1/compress``, ``/v1/campaign``) plus the node-ops
 endpoints the fleet uses to assemble itself.  Clients — above all
-:class:`~repro.campaign.dispatch.CampaignDispatcher` in gateway mode — talk
-to the gateway exactly as they would to a single node; the gateway:
+:class:`~repro.campaign.dispatch.CampaignDispatcher`, which always drives a
+gateway (an in-process one for ``--nodes``) — talk to the gateway exactly as
+they would to a single node; the gateway:
 
+* **admits nodes** two ways: agents (``repro serve --register``) register
+  and heartbeat; static members (:meth:`GatewayServer.admit_static`, what
+  ``--nodes`` uses) are admitted with the registry digest of their
+  ``GET /v1/health`` and probed on ``GET /v1/readyz`` by the sweeper, a
+  successful probe counting as a heartbeat;
 * **canonicalizes** every submission with the same shared helpers nodes use
   (:func:`~repro.service.server.canonicalize_compress` et al.), computes the
   content digest *before* choosing a node, and
 * **routes by digest** over a consistent-hash ring (:mod:`.ring`), so a
   re-submitted job lands on the node whose result cache already holds it;
   the node's answer must echo the same digest or the proxy answers 502
-  (registry skew caught per-response, as the dispatcher does);
+  (registry skew caught per response);
 * **replicates journals**: nodes stream their journal lines in, and the
   gateway writes its own submit line per routed job at proxy time — so a
   node SIGKILLed before its shipper flushed still leaves the gateway
@@ -35,6 +41,7 @@ from __future__ import annotations
 import tempfile
 import threading
 import time
+from urllib.parse import urlencode
 
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_metrics
@@ -51,6 +58,7 @@ from ..service.http import (
     HTTPServerBase,
     Route,
     parse_json_body,
+    parse_non_negative_int,
     parse_wait,
     retry_after_header,
     route_names,
@@ -66,22 +74,9 @@ from .ring import HashRing
 __all__ = ["GATEWAY_ROUTES", "GatewayHandler", "GatewayServer", "create_gateway"]
 
 _OBS = get_metrics()
-_GW_REQUESTS = _OBS.counter(
-    "repro_gateway_requests_total",
-    "Gateway requests served, by route pattern, status code, and tenant.",
-    ("route", "status", "tenant"),
-)
-_GW_SECONDS = _OBS.histogram(
-    "repro_gateway_proxy_seconds",
-    "Gateway request handling latency (including the proxied hop) per route.",
-    ("route",),
-)
-_FAILOVER = _OBS.counter(
-    "repro_gateway_failover_replays_total",
-    "Jobs considered by failover replay, by outcome "
-    "(replayed, already_finished, failed).",
-    ("outcome",),
-)
+_GW_REQUESTS = _OBS.get("repro_gateway_requests_total")
+_GW_SECONDS = _OBS.get("repro_gateway_proxy_seconds")
+_FAILOVER = _OBS.get("repro_gateway_failover_replays_total")
 
 #: Terminal job states, mirrored from the node API (string form — the
 #: gateway never imports job objects, it only proxies their JSON).
@@ -192,7 +187,7 @@ class GatewayHandler(HTTPHandler):
         )
 
     def list_jobs(self) -> None:
-        self.send_json(200, self.server.list_jobs(self.url.query))
+        self.send_json(200, self.server.list_jobs(self.query))
 
     def job(self, gid: str) -> None:
         self.send_json(*self.server.proxy_job_get(gid, ""))
@@ -318,8 +313,8 @@ class GatewayHandler(HTTPHandler):
         Route("GET", "/v1/health", health,
               "Gateway liveness plus per-state node counts (`role: gateway`)."),
         Route("GET", "/v1/jobs", list_jobs,
-              "Job listing fanned out over reachable nodes; ids rewritten to "
-              "gateway form."),
+              "Job listing merged over reachable nodes in node order, ids "
+              "rewritten to gateway form; `offset`/`limit` window the merge."),
         Route("GET", "/v1/jobs/<id>", job,
               "Proxied job record; answers from the replica journal when the "
               "node is gone."),
@@ -387,6 +382,8 @@ class GatewayServer(HTTPServerBase):
         self._lock = threading.Lock()
         self._ring = HashRing(replicas=ring_replicas)
         self._clients: dict[str, ServiceClient] = {}
+        #: Node ids admitted by :meth:`admit_static`: probed, not heartbeating.
+        self._static: set[str] = set()
         #: Original gateway job id -> (node id, remote id) after failover.
         self._failover: dict[str, tuple[str, str]] = {}
         #: Gateway ids with a failover resubmission in flight right now.
@@ -418,6 +415,46 @@ class GatewayServer(HTTPServerBase):
             # Drop any cached client: a re-registration may change the URL.
             self._clients.pop(node.node_id, None)
         return node
+
+    def admit_static(self, url: str, client: ServiceClient):
+        """Admit ``url`` as a static member: a node without a heartbeat agent.
+
+        The registry digest comes from the node's ``GET /v1/health`` —
+        :class:`ServiceError` when it does not answer,
+        :class:`RegistrySkewError` when it differs.  From then on the
+        sweeper's ``GET /v1/readyz`` probes stand in for heartbeats.
+        ``client`` asks, and then carries every request the gateway sends
+        the node, so the caller's retry and timeout policy applies to it.
+        """
+        node = self.admit_node(url, str(client.health().get("registry_digest") or ""))
+        with self._lock:
+            self._static.add(node.node_id)
+            self._clients[node.node_id] = client
+        return node
+
+    def probe_static(self) -> None:
+        """Probe every live static member's ``GET /v1/readyz`` once.
+
+        An answer counts as a heartbeat (a suspect member is healthy again);
+        a failure marks the member suspect with the probe error as the
+        reason, and the registry's ``dead_after`` timeout takes it from
+        there — exactly the heartbeat state machine, driven from this side.
+        """
+        with self._lock:
+            static = sorted(self._static)
+        for node_id in static:
+            node = self.nodes.get(node_id)
+            if node is None or node.state not in ("healthy", "suspect"):
+                continue
+            try:
+                self.node_client(node_id).request("GET", "/v1/readyz")
+            except ServiceError as error:
+                self.nodes.mark_suspect(node_id, f"readyz probe failed: {error}")
+                continue
+            try:
+                self.nodes.heartbeat(node_id, node.queue_depth, node.registry_digest)
+            except UnknownNodeError:
+                continue  # swept dead meanwhile; failover owns it now
 
     def remove_node(self, node_id: str):
         node = self.nodes.deregister(node_id)
@@ -590,7 +627,7 @@ class GatewayServer(HTTPServerBase):
                 self.nodes.mark_suspect(node_id, str(error))
             else:
                 if record.get("job_id") == rid:
-                    record = {**record, "job_id": gid}
+                    record = {**record, "job_id": gid, "node": node_id}
                 if self.quotas is not None and record.get("state") in _TERMINAL_STATES:
                     digest = record.get("digest")
                     if isinstance(digest, str):
@@ -655,23 +692,31 @@ class GatewayServer(HTTPServerBase):
                 self.quotas.release(digest)
         return 200, record
 
-    def list_jobs(self, query_string: str) -> dict:
-        """``GET /v1/jobs`` fanned out over reachable nodes, ids rewritten.
+    def list_jobs(self, query: dict[str, list[str]]) -> dict:
+        """``GET /v1/jobs`` merged over reachable nodes, ids rewritten.
 
-        The digest/state/pagination query is forwarded verbatim to each
-        node; this is what makes a client's reconcile-by-digest work
-        through the gateway.
+        The ``digest``/``state`` filters are forwarded to each node (this is
+        what makes a client's reconcile-by-digest work through the
+        gateway); ``offset``/``limit`` are validated here and window the
+        merged listing, in node order.  A node's own 4xx (e.g. an invalid
+        ``state``) is the caller's error and propagates; an unreachable
+        node is skipped.
         """
-        query = f"?{query_string}" if query_string else ""
+        offset = parse_non_negative_int(query, "offset", 0)
+        limit = parse_non_negative_int(query, "limit", None)
+        filters = urlencode(
+            {key: values for key, values in query.items() if key not in ("offset", "limit")},
+            doseq=True,
+        )
+        path = f"/v1/jobs?{filters}" if filters else "/v1/jobs"
         jobs: list[dict] = []
-        total = 0
         for node in self.nodes.nodes():
             if node.state not in ("healthy", "suspect"):
                 continue
             client = self.node_client(node.node_id)
             try:
-                listing = client.request("GET", f"/v1/jobs{query}")
-            except ServiceError:
+                listing = client.request("GET", path)
+            except ServiceUnavailable:
                 continue
             for record in listing.get("jobs", []):
                 if isinstance(record, dict) and isinstance(record.get("job_id"), str):
@@ -681,9 +726,8 @@ class GatewayServer(HTTPServerBase):
                         "node": node.node_id,
                     }
                 jobs.append(record)
-            raw_total = listing.get("total")
-            total += raw_total if isinstance(raw_total, int) else 0
-        return {"jobs": jobs, "total": total}
+        window = jobs[offset:] if limit is None else jobs[offset:offset + limit]
+        return {"jobs": window, "total": len(jobs), "offset": offset, "limit": limit}
 
     # ------------------------------------------------------------------ #
     # Failover
@@ -691,6 +735,7 @@ class GatewayServer(HTTPServerBase):
 
     def _sweep_loop(self, interval: float) -> None:
         while not self._stop.wait(interval):
+            self.probe_static()
             for node, _old, new_state in self.nodes.sweep():
                 if new_state == "dead":
                     self._failover_node(node.node_id)

@@ -48,8 +48,6 @@ def timed(operation: str) -> Iterator[Timer]:
     try:
         yield timer
     finally:
-        get_metrics().histogram(
-            "repro_operation_seconds",
-            "Latency of named operations timed with repro.obs.timed().",
-            ("operation",),
-        ).observe(timer.stop(), operation=operation)
+        get_metrics().get("repro_operation_seconds").observe(
+            timer.stop(), operation=operation
+        )

@@ -86,8 +86,8 @@ class ServiceUnavailable(ServiceError):
 class CircuitBreakerOpen(ServiceUnavailable):
     """Fail-fast: the breaker is open, no request was attempted.
 
-    Subclasses :class:`ServiceUnavailable` so existing callers (the campaign
-    dispatcher's node-loss handling above all) treat a breaker-protected node
+    Subclasses :class:`ServiceUnavailable` so existing callers (the
+    gateway's node-loss handling above all) treat a breaker-protected node
     exactly like an unreachable one — without paying connection timeouts to
     find out again.
     """
@@ -111,21 +111,9 @@ class JobFailedError(ServiceError):
 #: HTTP statuses worth retrying: saturation and transient upstream errors.
 _RETRYABLE_STATUSES = frozenset({429, 502, 503, 504})
 
-_RETRIES_TOTAL = get_metrics().counter(
-    "repro_client_retries_total",
-    "ServiceClient retry attempts, by cause.",
-    ("reason",),
-)
-_BREAKER_TRANSITIONS = get_metrics().counter(
-    "repro_breaker_transitions_total",
-    "ServiceClient circuit-breaker state transitions, by new state.",
-    ("state",),
-)
-_RECONCILES_TOTAL = get_metrics().counter(
-    "repro_client_reconciliations_total",
-    "Retried submits resolved by digest lookup instead of re-posting "
-    "(double-submit prevention).",
-)
+_RETRIES_TOTAL = get_metrics().get("repro_client_retries_total")
+_BREAKER_TRANSITIONS = get_metrics().get("repro_breaker_transitions_total")
+_RECONCILES_TOTAL = get_metrics().get("repro_client_reconciliations_total")
 
 
 def _retry_reason(cause: str) -> str:

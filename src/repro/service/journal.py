@@ -52,22 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = ["JobJournal", "checksummed_line", "verify_checksum"]
 
-_OBS_APPENDS = get_metrics().counter(
-    "repro_journal_appends_total", "Job-journal lines appended, by event.", ("event",)
-)
-_OBS_WRITE_ERRORS = get_metrics().counter(
-    "repro_journal_write_errors_total",
-    "Journal lines lost to write errors (full disk, unserializable params).",
-)
-_OBS_QUARANTINED = get_metrics().counter(
-    "repro_journal_quarantined_total",
-    "Corrupt journal lines moved to journal.quarantine.jsonl, by reason.",
-    ("reason",),
-)
-_OBS_SINK_ERRORS = get_metrics().counter(
-    "repro_journal_sink_errors_total",
-    "Journal fan-out sink invocations that raised (line kept locally).",
-)
+_OBS_APPENDS = get_metrics().get("repro_journal_appends_total")
+_OBS_WRITE_ERRORS = get_metrics().get("repro_journal_write_errors_total")
+_OBS_QUARANTINED = get_metrics().get("repro_journal_quarantined_total")
+_OBS_SINK_ERRORS = get_metrics().get("repro_journal_sink_errors_total")
 
 
 #: Journal event name per terminal job state.

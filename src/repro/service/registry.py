@@ -27,7 +27,12 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-__all__ = ["JobType", "ScenarioRegistry", "build_default_registry"]
+__all__ = [
+    "JobType",
+    "ScenarioRegistry",
+    "build_default_registry",
+    "compute_registry_digest",
+]
 
 
 @dataclass(frozen=True)
@@ -363,6 +368,24 @@ def _run_suite(fast: bool, seed: int) -> dict:
         name: json_payload(result)
         for name, result in experiments.run_all(fast=fast, seed=seed).items()
     }
+
+
+def compute_registry_digest(registry: ScenarioRegistry) -> str:
+    """Stable digest of a node's canonicalization surface.
+
+    Hashes the scenario registry's full description (names and canonical
+    default parameters) together with every codec schema — exactly the
+    inputs that determine how a submission canonicalizes into a content
+    digest.  Two processes with equal digests compute identical job digests
+    for identical bodies, which is what lets the gateway route by digest and
+    nodes verify it.
+    """
+    from .. import codecs
+    from ..core.hashing import stable_digest
+
+    return stable_digest(
+        "repro-registry", registry.describe(), codecs.describe_codecs()
+    )
 
 
 def build_default_registry() -> ScenarioRegistry:

@@ -34,7 +34,7 @@ from .http import (
 )
 from .jobs import JobState
 from .journal import JobJournal
-from .registry import ScenarioRegistry, build_default_registry
+from .registry import ScenarioRegistry, build_default_registry, compute_registry_digest
 from .workers import QueueFullError, WorkerPool
 
 __all__ = [
@@ -50,16 +50,8 @@ __all__ = [
 ]
 
 _OBS = get_metrics()
-_HTTP_REQUESTS = _OBS.counter(
-    "repro_http_requests_total",
-    "HTTP requests served, by method, route pattern, and status code.",
-    ("method", "route", "status"),
-)
-_HTTP_SECONDS = _OBS.histogram(
-    "repro_http_request_seconds",
-    "HTTP request handling latency per route pattern.",
-    ("route",),
-)
+_HTTP_REQUESTS = _OBS.get("repro_http_requests_total")
+_HTTP_SECONDS = _OBS.get("repro_http_request_seconds")
 
 
 def _parse_deadline(body: dict) -> float | None:
@@ -233,6 +225,7 @@ class NodeHandler(HTTPHandler):
                 "api_version": API_VERSION,
                 "uptime_seconds": time.time() - self.server.started_at,
                 "scenarios": len(self.server.registry),
+                "registry_digest": self.server.registry_digest,
                 "journal": self.server.journal is not None,
                 "pool": self.server.pool.stats(),
             },
@@ -490,6 +483,8 @@ class ReproServer(HTTPServerBase):
     ):
         super().__init__(address, NodeHandler, verbose)
         self.registry = registry
+        #: What a gateway admits this node by (``GET /v1/health``).
+        self.registry_digest = compute_registry_digest(registry)
         self.journal = journal
         #: Readiness state surfaced by ``GET /v1/readyz``: not ready until
         #: journal replay finished.

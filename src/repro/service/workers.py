@@ -68,25 +68,10 @@ __all__ = ["QueueFullError", "WorkerPool", "job_cancelled", "job_digest"]
 # Pool-level metric families, shared across every pool in the process (the
 # service pool and any campaign pools aggregate into one scrape).
 _OBS = get_metrics()
-_JOBS_TOTAL = _OBS.counter(
-    "repro_jobs_total",
-    "Job lifecycle events per scenario: submitted, cache_hit, dedup_hit, "
-    "rejected, restored, done, failed, cancelled, deadline.",
-    ("scenario", "event"),
-)
-_QUEUE_DEPTH = _OBS.gauge(
-    "repro_job_queue_depth",
-    "Unfinished (queued or running) jobs currently held by the worker pool.",
-)
-_QUEUE_WAIT = _OBS.histogram(
-    "repro_job_queue_wait_seconds",
-    "Time jobs spent queued before a worker picked them up.",
-)
-_RUN_SECONDS = _OBS.histogram(
-    "repro_job_run_seconds",
-    "Job execution wall-clock time per scenario.",
-    ("scenario",),
-)
+_JOBS_TOTAL = _OBS.get("repro_jobs_total")
+_QUEUE_DEPTH = _OBS.get("repro_job_queue_depth")
+_QUEUE_WAIT = _OBS.get("repro_job_queue_wait_seconds")
+_RUN_SECONDS = _OBS.get("repro_job_run_seconds")
 
 
 def job_digest(job_type: str, params: dict) -> str:

@@ -35,12 +35,7 @@ from ..obs.metrics import get_metrics
 
 __all__ = ["IngestError", "IngestStats", "ingest_path", "ingest_paths", "ingest_run_dir"]
 
-_INGESTED = get_metrics().counter(
-    "repro_warehouse_ingested_total",
-    "Warehouse ingest outcomes per cell, by outcome "
-    "(inserted, duplicate, invalid).",
-    ("outcome",),
-)
+_INGESTED = get_metrics().get("repro_warehouse_ingested_total")
 
 
 class IngestError(ValueError):

@@ -8,6 +8,7 @@ after node loss and across resume boundaries — produces ``report.json`` /
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.campaign import CampaignRunner, parse_spec
 from repro.campaign.dispatch import CampaignDispatcher, DispatchError
 from repro.service import create_server
 from repro.service.client import ServiceClient, ServiceUnavailable
+from repro.service.registry import JobType, build_default_registry
 
 #: Six fast deterministic cells across a two-grid DAG.
 SPEC = {
@@ -122,26 +124,21 @@ class TestNodeLossMidRun:
         state = {"completed": 0}
 
         def flaky_factory(url, **kwargs):
+            # These clients carry the in-process gateway's requests to each
+            # node: once any result has come back, every request to the
+            # dying node — proxied polls and readiness probes alike — fails.
             client = fast_client(url, **kwargs)
-            if url != dying_url:
-                return client
-            real_result, real_job, real_submit = client.result, client.job, client.submit
+            real_request = client.request
 
-            def result(job_id):
-                record = real_result(job_id)
-                state["completed"] += 1
+            def request(method, path, *args, **kw):
+                if url == dying_url and state["completed"] >= 1:
+                    raise ServiceUnavailable(url, 1, "simulated node loss")
+                record = real_request(method, path, *args, **kw)
+                if path.endswith("/result"):
+                    state["completed"] += 1
                 return record
 
-            def dead_after_first(method):
-                def inner(*args, **kw):
-                    if state["completed"] >= 1:
-                        raise ServiceUnavailable(url, 1, "simulated node loss")
-                    return method(*args, **kw)
-                return inner
-
-            client.result = dead_after_first(result)
-            client.job = dead_after_first(real_job)
-            client.submit = dead_after_first(real_submit)
+            client.request = request
             return client
 
         dispatcher = CampaignDispatcher(
@@ -160,6 +157,45 @@ class TestNodeLossMidRun:
         assert (tmp_path / "run/report.json").read_bytes() == local_reports[0]
         assert (tmp_path / "run/report.csv").read_bytes() == local_reports[1]
 
+    def test_closed_node_is_lost_and_its_cells_fail_over(self, local_reports, tmp_path):
+        # A real fault: one of two private nodes stops listening after the
+        # first checkpoint.  Its readiness probes fail, the in-process
+        # gateway declares it dead and replays its cells on the survivor.
+        servers = []
+        for _ in range(2):
+            server = create_server(port=0, max_workers=2)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            servers.append(server)
+        urls = [f"http://127.0.0.1:{server.port}" for server in servers]
+        dispatcher = CampaignDispatcher(
+            parse_spec(SPEC), urls, tmp_path / "run",
+            poll_interval=0.02, client_factory=fast_client,
+        )
+        real_checkpoint = dispatcher.runner.checkpoint
+        closed = []
+
+        def checkpoint(*args, **kwargs):
+            real_checkpoint(*args, **kwargs)
+            if not closed:
+                closed.append(urls[1])
+                servers[1].close(wait=False)
+
+        dispatcher.runner.checkpoint = checkpoint
+        started = time.monotonic()
+        try:
+            stats = dispatcher.run()
+        finally:
+            servers[0].close()
+            if not closed:
+                servers[1].close()
+        assert time.monotonic() - started < 5.0
+        assert stats["report_written"] and stats["failed"] == 0
+        lost, survivor = stats["nodes"][1], stats["nodes"][0]
+        assert lost["url"] == urls[1] and not lost["alive"] and lost["reason"]
+        assert survivor["alive"]
+        assert (tmp_path / "run/report.json").read_bytes() == local_reports[0]
+        assert (tmp_path / "run/report.csv").read_bytes() == local_reports[1]
+
     def test_all_nodes_dead_raises_dispatch_error(self, tmp_path):
         dispatcher = CampaignDispatcher(
             parse_spec(SPEC),
@@ -173,27 +209,23 @@ class TestNodeLossMidRun:
         assert (tmp_path / "run" / "manifest.json").is_file()
 
     def test_registry_skew_refuses_the_node(self, fleet, local_reports, tmp_path):
-        skewed_url = fleet[0]
-
-        def skewed_factory(url, **kwargs):
-            client = fast_client(url, **kwargs)
-            if url != skewed_url:
-                return client
-            real_submit = client.submit
-
-            def submit(job_type, params=None, wait=None):
-                record = dict(real_submit(job_type, params, wait=wait))
-                record["digest"] = "0" * 64  # node disagrees on content identity
-                return record
-
-            client.submit = submit
-            return client
-
-        dispatcher = CampaignDispatcher(
-            parse_spec(SPEC), fleet, tmp_path / "run",
-            poll_interval=0.02, client_factory=skewed_factory,
+        # A node built from a different scenario registry canonicalizes jobs
+        # differently; its /v1/health digest gives it away at admission.
+        skewed_registry = build_default_registry()
+        skewed_registry.register(
+            JobType("skew_only", "exists on the skewed node only", lambda: 0)
         )
-        stats = dispatcher.run()
+        server = create_server(port=0, max_workers=1, registry=skewed_registry)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        skewed_url = f"http://127.0.0.1:{server.port}"
+        try:
+            dispatcher = CampaignDispatcher(
+                parse_spec(SPEC), [skewed_url, fleet[1]], tmp_path / "run",
+                poll_interval=0.02, client_factory=fast_client,
+            )
+            stats = dispatcher.run()
+        finally:
+            server.close()
         skewed = next(n for n in stats["nodes"] if n["url"] == skewed_url)
         assert not skewed["alive"] and "registry skew" in skewed["reason"]
         assert stats["report_written"]

@@ -591,8 +591,15 @@ class TestVersionedHTTPAPI:
 
 
 class TestDispatchCodecSkew:
-    def test_probe_refuses_a_node_missing_a_plan_codec(self, base, tmp_path):
-        """Codec-level registry skew is caught at probe time, not per cell."""
+    def test_probe_refuses_a_node_missing_a_plan_codec(self, tmp_path, monkeypatch):
+        """Codec-level registry skew is caught at admission, not per cell.
+
+        The node is built while the codec registry lacks ``prune`` — a node
+        from a revision without that codec.  Codec schemas are part of the
+        registry digest, so the node's ``/v1/health`` digest differs from the
+        plan's and the dispatch's gateway refuses it before any cell is sent
+        (the refusal names the digests, not the missing codec).
+        """
         from repro.campaign.dispatch import CampaignDispatcher, DispatchError
         from repro.service.client import ServiceClient
 
@@ -604,24 +611,25 @@ class TestDispatchCodecSkew:
             ],
         })
 
-        def skewed_factory(url, **kwargs):
-            client = ServiceClient(url, retries=0, backoff=0.0)
-            real_codecs = client.codecs
-
-            def codecs_without_prune():
-                return [c for c in real_codecs() if c["name"] != "prune"]
-
-            client.codecs = codecs_without_prune
-            return client
-
-        dispatcher = CampaignDispatcher(
-            spec, [base], tmp_path / "run", client_factory=skewed_factory,
+        real_describe = codecs.describe_codecs
+        monkeypatch.setattr(
+            codecs, "describe_codecs",
+            lambda: [c for c in real_describe() if c["name"] != "prune"],
         )
-        with pytest.raises(DispatchError):
-            dispatcher.run()
+        server = create_server(port=0, max_workers=1)
+        monkeypatch.undo()
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            dispatcher = CampaignDispatcher(
+                spec, [f"http://127.0.0.1:{server.port}"], tmp_path / "run",
+                client_factory=lambda url, **kw: ServiceClient(url, retries=0, backoff=0.0),
+            )
+            with pytest.raises(DispatchError):
+                dispatcher.run()
+        finally:
+            server.close()
         (node,) = dispatcher.nodes
         assert not node.alive and "registry skew" in node.reason
-        assert "'prune'" in node.reason
 
 
 class TestAPISurfaceGuard:

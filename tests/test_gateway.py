@@ -511,6 +511,55 @@ class TestGatewayFrontDoor:
         assert gateway.replicas.job_view(node_id, rid)["submit"] is not None
 
 
+class TestJobsListingPagination:
+    """``GET /v1/jobs`` through the gateway pages the merged listing once."""
+
+    @staticmethod
+    def _seed_both_nodes(gateway, url) -> dict:
+        client = ServiceClient(url, timeout=30.0)
+        owners: set[str] = set()
+        for seed in range(40, 80):
+            body = {"type": "quantize_tensor", "params": {"rows": 16, "cols": 32, "seed": seed}}
+            owners.add(client.request("POST", "/v1/jobs", body)["node"])
+            if len(owners) == 2:
+                break
+        assert len(owners) == 2, "the ring never routed to both nodes"
+        return client.jobs()
+
+    def test_offset_and_limit_window_the_merged_listing(self, fabric):
+        gateway, url, _, _ = fabric
+        full = self._seed_both_nodes(gateway, url)
+        ids = [record["job_id"] for record in full["jobs"]]
+        assert full["total"] == len(ids) >= 2
+        assert {record["node"] for record in full["jobs"]} == {
+            node.node_id for node in gateway.nodes.nodes()
+        }
+        client = ServiceClient(url, timeout=30.0)
+        page = client.jobs(offset=1, limit=1)
+        assert [record["job_id"] for record in page["jobs"]] == ids[1:2]
+        assert page["total"] == len(ids)
+        tail = client.jobs(offset=len(ids) - 1)
+        assert [record["job_id"] for record in tail["jobs"]] == ids[-1:]
+
+    def test_envelope_reports_offset_and_limit(self, fabric):
+        gateway, url, _, _ = fabric
+        self._seed_both_nodes(gateway, url)
+        client = ServiceClient(url, timeout=30.0)
+        listing = client.jobs(offset=1, limit=3)
+        assert (listing["offset"], listing["limit"]) == (1, 3)
+        listing = client.jobs()
+        assert (listing["offset"], listing["limit"]) == (0, None)
+
+    @pytest.mark.parametrize("query", ["limit=-1", "offset=-2", "limit=x", "offset=1.5"])
+    def test_bad_window_values_are_a_400(self, fabric, query):
+        gateway, url, _, _ = fabric
+        self._seed_both_nodes(gateway, url)
+        client = ServiceClient(url, timeout=10.0, retries=0)
+        with pytest.raises(ServiceRequestError) as excinfo:
+            client.request("GET", f"/v1/jobs?{query}")
+        assert excinfo.value.status == 400
+
+
 class TestGatewayQuotas:
     @pytest.fixture()
     def secured(self, tmp_path):
@@ -781,6 +830,92 @@ class TestReadyz:
             assert body["reason"] == "draining"
         finally:
             server.close()
+
+
+# --------------------------------------------------------------------- #
+# Static members: admitted from /v1/health, probed on /v1/readyz
+# --------------------------------------------------------------------- #
+
+
+class TestStaticMembers:
+    @pytest.fixture()
+    def gateway(self):
+        # The sweeper thread idles (60 s): each test drives the probes and
+        # the timeout sweep itself.
+        gateway = create_gateway(
+            port=0, suspect_after=0.2, dead_after=0.4, sweep_interval=60.0
+        )
+        yield gateway
+        gateway.close()
+
+    @staticmethod
+    def _node(registry=None):
+        server = create_server(port=0, max_workers=1, registry=registry)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        return server, f"http://127.0.0.1:{server.port}"
+
+    def test_admitted_with_the_health_digest(self, gateway):
+        server, url = self._node()
+        try:
+            assert ServiceClient(url).health()["registry_digest"] == gateway.registry_digest
+            node = gateway.admit_static(url, ServiceClient(url, retries=0))
+            assert gateway.nodes.get(node.node_id).state == "healthy"
+            assert gateway.route_digest("any-digest") == node.node_id
+        finally:
+            server.close()
+
+    def test_failed_probes_turn_a_member_suspect_then_dead(self, gateway):
+        import time
+
+        server, url = self._node()
+        node = gateway.admit_static(url, ServiceClient(url, retries=0))
+        server.close()
+        gateway.probe_static()
+        member = gateway.nodes.get(node.node_id)
+        assert member.state == "suspect"
+        assert member.reason.startswith("readyz probe failed:")
+        time.sleep(0.45)
+        gateway.probe_static()
+        moves = gateway.nodes.sweep()
+        assert [(moved.node_id, old, new) for moved, old, new in moves] == [
+            (node.node_id, "suspect", "dead")
+        ]
+        assert "readyz probe failed" in gateway.nodes.get(node.node_id).reason
+
+    def test_suspect_member_answering_its_probe_is_healthy_again(self, gateway):
+        server, url = self._node()
+        try:
+            node = gateway.admit_static(url, ServiceClient(url, retries=0))
+            server.ready = False  # readyz answers 503 "replaying journal"
+            gateway.probe_static()
+            assert gateway.nodes.get(node.node_id).state == "suspect"
+            server.ready = True
+            gateway.probe_static()
+            member = gateway.nodes.get(node.node_id)
+            assert (member.state, member.reason) == ("healthy", "")
+        finally:
+            server.close()
+
+    def test_node_from_another_registry_is_refused_at_admission(self, gateway):
+        from repro.service.registry import JobType
+
+        skewed = build_default_registry()
+        skewed.register(JobType("skew_only", "exists on this node only", lambda: 0))
+        server, url = self._node(registry=skewed)
+        try:
+            with pytest.raises(RegistrySkewError, match="registry digest mismatch"):
+                gateway.admit_static(url, ServiceClient(url, retries=0))
+        finally:
+            server.close()
+        assert gateway.nodes.nodes() == []
+
+    def test_unreachable_node_is_not_admitted(self, gateway):
+        from repro.service.client import ServiceUnavailable
+
+        url = "http://127.0.0.1:1"
+        with pytest.raises(ServiceUnavailable):
+            gateway.admit_static(url, ServiceClient(url, retries=0))
+        assert gateway.nodes.nodes() == []
 
 
 # --------------------------------------------------------------------- #

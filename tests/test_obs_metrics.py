@@ -7,11 +7,13 @@ own families or deltas.
 
 from __future__ import annotations
 
+import ast
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -332,3 +334,52 @@ class TestMetricsSurviveRestart:
             assert f"# TYPE {family} " in text
         restored_after = jobs_total.value(scenario="prune_tensor", event="restored")
         assert restored_after >= restored_before + 1
+
+
+# --------------------------------------------------------------------------- #
+# One declaration per family
+# --------------------------------------------------------------------------- #
+
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
+METRICS_MODULE = SRC_ROOT / "obs" / "metrics.py"
+
+
+def _metric_name_calls(methods: set[str]):
+    """``(path, line, method, name)`` of every ``.<method>("repro_...")`` call in src."""
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in methods
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+                and node.args[0].value.startswith("repro_")
+            ):
+                yield path, node.lineno, node.func.attr, node.args[0].value
+
+
+class TestFamiliesDeclaredOnce:
+    def test_no_family_is_declared_outside_obs_metrics(self):
+        """``declare_standard_families`` is the one declaration of every
+        ``repro_*`` family; instrumentation sites take their handles with
+        ``get_metrics().get(name)``, so no second help text can drift."""
+        offenders = [
+            f"{path.relative_to(SRC_ROOT)}:{line} {method}({name!r})"
+            for path, line, method, name in _metric_name_calls(
+                {"counter", "gauge", "histogram"}
+            )
+            if path != METRICS_MODULE
+        ]
+        assert offenders == []
+
+    def test_every_site_handle_names_a_declared_family(self):
+        # A typo in a handle lookup would be ``None`` until first use.
+        declared = set(get_metrics().names())
+        unknown = [
+            f"{path.relative_to(SRC_ROOT)}:{line} {name}"
+            for path, line, _method, name in _metric_name_calls({"get"})
+            if name not in declared
+        ]
+        assert unknown == []

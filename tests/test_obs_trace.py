@@ -279,9 +279,15 @@ class TestFederatedSpanTree:
         assert _names(cells) == ["dispatch.cell", "dispatch.cell"]
         assert {cell["attrs"]["cell"] for cell in cells} == {"pipe/0", "pipe/1"}
         for cell in cells:
-            # Exactly the submit POST: poll GETs stay out of the trace.
-            assert _names(cell["children"]) == ["http.request"]
-            http = cell["children"][0]
+            # Exactly the submit POST: poll GETs stay out of the trace.  The
+            # in-process gateway behind ``endpoints`` is one hop on the way.
+            assert _names(cell["children"]) == ["gateway.request"]
+            hop = cell["children"][0]
+            assert hop["attrs"]["method"] == "POST"
+            assert hop["attrs"]["route"] == "/v1/jobs"
+
+            assert _names(hop["children"]) == ["http.request"]
+            http = hop["children"][0]
             assert http["attrs"]["method"] == "POST"
             assert http["attrs"]["route"] == "/v1/jobs"
 
