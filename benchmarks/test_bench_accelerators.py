@@ -1,9 +1,13 @@
-"""Benchmarks regenerating the accelerator-level results.
+"""Paper claims on the accelerator-level results, at evaluation scale.
 
 Covers Figure 12 (speedup over Stripes), Figure 13 (energy normalized to
 SparTen), Figure 14 (load balance vs PE columns), Figure 15 (stall breakdown),
 Tables IV/V/VI (PE area/power), Figure 16 (EDP-accuracy Pareto) and Figure 17
-(LLM weight compression).
+(LLM weight compression).  The simulations run on the evaluation suite
+(128 channels, reduction 1024) over more models than
+``tests/test_experiments.py`` uses: three for the speedup and energy sweeps,
+each experiment's defaults elsewhere (``repro all`` without ``--fast`` sweeps
+all seven).  Timing is ``perfbench``'s job, not these tests'.
 """
 
 from __future__ import annotations
@@ -11,36 +15,36 @@ from __future__ import annotations
 import pytest
 
 from repro.eval import experiments as exp
+from repro.eval.benchmarks import BenchmarkSuite
 from repro.eval.reporting import format_table
+
+#: One CNN, one vision transformer and one language model.
+SWEEP_MODELS = ["ResNet-50", "ViT-Small", "BERT-MRPC"]
 
 
 @pytest.fixture(scope="module")
-def sweep_results(suite, sweep_models):
-    """Figure 12 results shared with the Figure 13 benchmark."""
-    return exp.figure12_speedup(models=sweep_models, suite=suite)
+def suite() -> BenchmarkSuite:
+    return BenchmarkSuite(seed=0, max_channels=128, max_reduction=1024)
 
 
-@pytest.mark.paper
-def test_figure12_speedup(benchmark, suite, sweep_models, sweep_results):
-    def regenerate():
-        return sweep_results
+@pytest.fixture(scope="module")
+def sweep_results(suite):
+    """Figure 12 results shared with the Figure 13 check."""
+    return exp.figure12_speedup(models=SWEEP_MODELS, suite=suite)
 
-    result = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+
+def test_figure12_speedup(sweep_results):
     print()
-    print(result["table"])
-    geomean = [row for row in result["rows"] if row["model"] == "Geomean"][0]
+    print(sweep_results["table"])
+    geomean = [row for row in sweep_results["rows"] if row["model"] == "Geomean"][0]
     assert geomean["BitVert (moderate)"] > geomean["BitVert (conservative)"]
     assert geomean["BitVert (conservative)"] > geomean["BitWave"] > 1.0
     assert geomean["BitVert (moderate)"] > 2.0
 
 
-@pytest.mark.paper
-def test_figure13_energy(benchmark, suite, sweep_models, sweep_results):
-    result = benchmark.pedantic(
-        exp.figure13_energy,
-        kwargs={"models": sweep_models, "suite": suite, "results": sweep_results["results"]},
-        rounds=1,
-        iterations=1,
+def test_figure13_energy(suite, sweep_results):
+    result = exp.figure13_energy(
+        models=SWEEP_MODELS, suite=suite, results=sweep_results["results"]
     )
     print()
     geomeans = [row for row in result["rows"] if row["model"] == "Geomean"]
@@ -50,11 +54,8 @@ def test_figure13_energy(benchmark, suite, sweep_models, sweep_results):
     assert by_accel["BitVert (moderate)"] < by_accel["BitWave"] < by_accel["Stripes"]
 
 
-@pytest.mark.paper
-def test_figure14_load_balance(benchmark, suite):
-    result = benchmark.pedantic(
-        exp.figure14_load_balance, kwargs={"suite": suite}, rounds=1, iterations=1
-    )
+def test_figure14_load_balance(suite):
+    result = exp.figure14_load_balance(suite=suite)
     print()
     print(result["table"])
     for model in {row["model"] for row in result["rows"]}:
@@ -69,11 +70,8 @@ def test_figure14_load_balance(benchmark, suite):
             assert row["BitVert"] >= row["BitWave"]
 
 
-@pytest.mark.paper
-def test_figure15_stall_breakdown(benchmark, suite):
-    result = benchmark.pedantic(
-        exp.figure15_stall_breakdown, kwargs={"suite": suite}, rounds=1, iterations=1
-    )
+def test_figure15_stall_breakdown(suite):
+    result = exp.figure15_stall_breakdown(suite=suite)
     print()
     print(result["table"])
     for model in {row["model"] for row in result["rows"]}:
@@ -86,9 +84,8 @@ def test_figure15_stall_breakdown(benchmark, suite):
             assert subset["BitVert"]["useful"] >= subset["BitWave"]["useful"]
 
 
-@pytest.mark.paper
-def test_table4_pe_design_space(benchmark):
-    result = benchmark.pedantic(exp.table4_pe_design_space, rounds=1, iterations=1)
+def test_table4_pe_design_space():
+    result = exp.table4_pe_design_space()
     print()
     print(result["table"])
     areas = {
@@ -97,9 +94,8 @@ def test_table4_pe_design_space(benchmark):
     assert min(areas, key=areas.get) == (8, True)
 
 
-@pytest.mark.paper
-def test_table5_pe_comparison(benchmark):
-    result = benchmark.pedantic(exp.table5_pe_comparison, rounds=1, iterations=1)
+def test_table5_pe_comparison():
+    result = exp.table5_pe_comparison()
     print()
     print(result["table"])
     by_name = {row["accelerator"]: row for row in result["rows"]}
@@ -107,20 +103,16 @@ def test_table5_pe_comparison(benchmark):
     assert by_name["Stripes"]["model_area_um2"] < by_name["BitVert"]["model_area_um2"]
 
 
-@pytest.mark.paper
-def test_table6_olive_pe(benchmark):
-    result = benchmark.pedantic(exp.table6_olive_pe, rounds=1, iterations=1)
+def test_table6_olive_pe():
+    result = exp.table6_olive_pe()
     print()
     print(result["table"])
     bitvert = [row for row in result["rows"] if row["pe"].startswith("BitVert")][0]
     assert bitvert["norm_perf_per_area"] > 1.2
 
 
-@pytest.mark.paper
-def test_figure16_pareto(benchmark, suite):
-    result = benchmark.pedantic(
-        exp.figure16_pareto, kwargs={"suite": suite}, rounds=1, iterations=1
-    )
+def test_figure16_pareto(suite):
+    result = exp.figure16_pareto(suite=suite)
     print()
     print(result["table"])
     bitvert_rows = [row for row in result["rows"] if row["design"].startswith("BitVert")]
@@ -130,9 +122,8 @@ def test_figure16_pareto(benchmark, suite):
     )
 
 
-@pytest.mark.paper
-def test_figure17_llm(benchmark):
-    result = benchmark.pedantic(exp.figure17_llm, rounds=1, iterations=1)
+def test_figure17_llm():
+    result = exp.figure17_llm()
     print()
     print(result["table"])
     by_method = {row["method"]: row for row in result["rows"]}

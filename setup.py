@@ -25,7 +25,7 @@ setup(
     # numpy 2.0 added np.bitwise_count, which the bit-statistics kernels use.
     install_requires=["numpy>=2.0"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        "test": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": [

@@ -889,9 +889,8 @@ def run_all(fast: bool = True, seed: int = 0, jobs: int = 1) -> dict[str, dict]:
     """Run every experiment and return their results keyed by experiment name.
 
     ``fast`` restricts the accelerator sweeps to a representative model subset
-    so the whole paper reproduction completes in a few minutes; the full
-    seven-model sweep is what the benchmark harness under ``benchmarks/``
-    executes.
+    so the whole paper reproduction completes in a few minutes; without it
+    (``repro all`` without ``--fast``) the sweeps cover all seven models.
 
     ``jobs > 1`` fans the experiments out over a process pool (see
     :func:`run_all_parallel`); note that the parallel path returns the

@@ -89,7 +89,7 @@ class TestAccuracyExperiments:
         assert len(rows) == 7
 
     def test_figure11_bbs_preserves_distribution_better(self):
-        result = exp.figure11_accuracy(models=["ResNet-34"], seed=0, include_mlp=False)
+        result = exp.figure11_accuracy(models=["ResNet-34"], seed=0)
         by_method = {row["method"]: row for row in result["rows"]}
         assert by_method["bbs_mod"]["mean_kl"] < by_method["bitwave4"]["mean_kl"]
         assert by_method["bbs_mod"]["mean_kl"] < by_method["ptq4"]["mean_kl"]
@@ -97,6 +97,9 @@ class TestAccuracyExperiments:
         assert by_method["bbs_cons"]["mean_mse"] < by_method["bbs_mod"]["mean_mse"]
         # Effective bit widths follow the paper (cons > mod).
         assert by_method["bbs_cons"]["effective_bits"] > by_method["bbs_mod"]["effective_bits"]
+        # End-to-end MLP: moderate BBS loses no more accuracy than 4-bit PTQ.
+        mlp_loss = {row["method"]: row["accuracy_loss_vs_fp32"] for row in result["mlp_rows"]}
+        assert mlp_loss["BBS moderate"] <= mlp_loss["PTQ (4-bit)"] + 1e-9
 
     def test_table2_bbs_beats_ant(self):
         rows = exp.table2_ant_comparison()["rows"]
@@ -136,7 +139,7 @@ class TestAcceleratorExperiments:
         }
         assert geomeans["SparTen"] == pytest.approx(1.0)
         assert geomeans["BitVert (moderate)"] < geomeans["BitWave"] < 1.0
-        assert geomeans["BitVert (moderate)"] < geomeans["Stripes"]
+        assert geomeans["BitWave"] < geomeans["Stripes"]
 
     def test_figure14_load_balance(self, small_suite):
         result = exp.figure14_load_balance(
@@ -146,6 +149,7 @@ class TestAcceleratorExperiments:
         # Unstructured schemes lose speedup at higher parallelism; BitVert
         # remains the fastest at every width.
         assert by_columns[32]["Bitlet"] <= by_columns[2]["Bitlet"] + 1e-9
+        assert by_columns[32]["Pragmatic"] <= by_columns[2]["Pragmatic"] + 1e-9
         for columns in (2, 32):
             row = by_columns[columns]
             assert row["BitVert"] > row["BitWave"] > 0
@@ -176,6 +180,8 @@ class TestHardwareTables:
         by_name = {row["accelerator"]: row for row in rows}
         assert by_name["Bitlet"]["model_area_ratio"] > 2.5
         assert by_name["Stripes"]["model_area_ratio"] == pytest.approx(1.0)
+        assert by_name["Bitlet"]["model_area_um2"] > by_name["Pragmatic"]["model_area_um2"]
+        assert by_name["Stripes"]["model_area_um2"] < by_name["BitVert"]["model_area_um2"]
 
     def test_table6_perf_per_area(self):
         rows = exp.table6_olive_pe()["rows"]
