@@ -173,12 +173,32 @@ def _walk_commands(
     return commands
 
 
+def _synopsis(parser: argparse.ArgumentParser) -> str:
+    """``[--flag ...]`` usage of one parser's options, in declaration order."""
+    parts = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            parts.append(f"[{flag}]")
+        elif action.nargs == "+":
+            parts.append(f"[{flag} ...]")
+        else:
+            parts.append(f"[{flag} N]")
+    return " ".join(parts)
+
+
 def generate_cli() -> str:
     """Render docs/cli.md by walking the live argparse tree and registries."""
-    from repro.cli import EXPERIMENT_COMMANDS, _build_parser
+    from repro.cli import _build_parser
+    from repro.eval import EXPERIMENTS
 
     parser = _build_parser()
-    experiment_names = set(EXPERIMENT_COMMANDS)
+    (commands,) = [
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ]
+    helps = {choice.dest: choice.help for choice in commands._choices_actions}
     lines = [
         HEADER,
         "# CLI reference (`repro` / `python -m repro.cli`)",
@@ -188,16 +208,21 @@ def generate_cli() -> str:
         "",
         "## Experiment commands",
         "",
-        "Each regenerates one paper table/figure "
-        "(`repro <name> [--models ...] [--seed N] [--jobs N] [--json]`):",
+        "Each regenerates one paper table/figure, and takes only the flags "
+        "its experiment uses:",
         "",
-        ", ".join(f"`{name}`" for name in EXPERIMENT_COMMANDS),
-        "",
+        "| Command | Regenerates |",
+        "| --- | --- |",
     ]
+    lines += [
+        f"| `repro {name} {_synopsis(commands.choices[name])}` | {helps[name]} |"
+        for name in EXPERIMENTS
+    ]
+    lines.append("")
     grouped: dict[str, list[tuple[str, argparse.ArgumentParser]]] = {}
     for path, leaf in _walk_commands(parser, ""):
         root = path.split()[0] if path else ""
-        if root in experiment_names:
+        if root in EXPERIMENTS:
             continue  # covered by the experiment-command summary above
         grouped.setdefault(root, []).append((path, leaf))
 

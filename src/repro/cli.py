@@ -43,57 +43,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
 
-from .eval import experiments
+from .eval import BENCHMARK_MODEL_NAMES, EXPERIMENTS, json_payload, run_all, run_experiment
 from .eval.ablations import run_all_ablations
-from .eval.benchmarks import BENCHMARK_MODEL_NAMES, BenchmarkSuite
-from .eval.experiments import json_payload
 from .obs import timed
 
-__all__ = ["main", "run_experiment", "EXPERIMENT_COMMANDS"]
-
-
-#: Experiment name -> (callable accepting optional models/suite kwargs, takes_models)
-EXPERIMENT_COMMANDS: dict[str, tuple[Callable[..., dict], bool]] = {
-    "figure1": (experiments.figure1_motivation, False),
-    "figure3": (experiments.figure3_sparsity_comparison, True),
-    "figure6": (experiments.figure6_kl_divergence, False),
-    "table1": (experiments.table1_models, False),
-    "figure11": (experiments.figure11_accuracy, True),
-    "table2": (experiments.table2_ant_comparison, False),
-    "table3": (experiments.table3_ptq_comparison, False),
-    "figure12": (experiments.figure12_speedup, True),
-    "figure13": (experiments.figure13_energy, True),
-    "figure14": (experiments.figure14_load_balance, True),
-    "figure15": (experiments.figure15_stall_breakdown, True),
-    "table4": (experiments.table4_pe_design_space, False),
-    "table5": (experiments.table5_pe_comparison, False),
-    "table6": (experiments.table6_olive_pe, False),
-    "figure16": (experiments.figure16_pareto, False),
-    "figure17": (experiments.figure17_llm, False),
-}
-
-
-def run_experiment(
-    name: str, models: list[str] | None = None, seed: int = 0, jobs: int = 1
-) -> dict:
-    """Run one named experiment with only the kwargs its function accepts.
-
-    The single entry point shared by the CLI commands and the service
-    registry, so both produce byte-identical results for identical inputs.
-    ``jobs`` sets the process-pool width for the suite-driven experiments
-    (the accelerator sweeps of Figures 12-15); it never changes results.
-    """
-    function, takes_models = EXPERIMENT_COMMANDS[name]
-    kwargs: dict = {}
-    if takes_models and models:
-        kwargs["models"] = list(models)
-    if "seed" in function.__code__.co_varnames:
-        kwargs["seed"] = seed
-    if "suite" in function.__code__.co_varnames:
-        kwargs["suite"] = BenchmarkSuite(seed=seed, jobs=jobs)
-    return function(**kwargs)
+__all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,19 +58,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list the available experiments")
+    subparsers.add_parser("list", help="list the available commands")
 
-    for name in EXPERIMENT_COMMANDS:
-        sub = subparsers.add_parser(name, help=f"regenerate {name}")
-        sub.add_argument("--models", nargs="+", choices=BENCHMARK_MODEL_NAMES, default=None)
-        sub.add_argument("--seed", type=int, default=0)
+    for name, experiment in EXPERIMENTS.items():
+        sub = subparsers.add_parser(name, help=experiment.summary)
+        if "models" in experiment.params:
+            sub.add_argument("--models", nargs="+", choices=BENCHMARK_MODEL_NAMES, default=None)
+        if "seed" in experiment.params:
+            sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--json", action="store_true", help="emit JSON instead of tables")
-        sub.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="process-pool width for accelerator sweeps (results unchanged)",
-        )
+        if "suite" in experiment.parameters:
+            sub.add_argument(
+                "--jobs",
+                type=int,
+                default=1,
+                help="process-pool width for accelerator sweeps (results unchanged)",
+            )
 
     ablation_parser = subparsers.add_parser("ablations", help="run the design-choice ablations")
     ablation_parser.add_argument("--seed", type=int, default=0)
@@ -581,13 +539,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_single(name: str, args: argparse.Namespace) -> int:
-    # ``name`` ranges over EXPERIMENT_COMMANDS — a closed set, so the
-    # operation label stays bounded despite the interpolation.
+    # ``name`` ranges over EXPERIMENTS — a closed set, so the operation
+    # label stays bounded despite the interpolation.
     with timed(f"experiment.{name}") as timer:  # repro: ignore[metric-labels]
         result = run_experiment(
             name,
             models=getattr(args, "models", None),
-            seed=args.seed,
+            seed=getattr(args, "seed", 0),
             jobs=getattr(args, "jobs", 1),
         )
     if args.json:
@@ -1337,19 +1295,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        print("available experiments:")
-        for name in EXPERIMENT_COMMANDS:
-            print(f"  {name}")
-        print("  ablations")
-        print("  all")
-        print("  gateway (front-door routing, node registry, failover, quotas)")
-        print("  campaign (run/resume/report/dispatch declarative campaign specs)")
-        print("  warehouse (ingest/query/pareto over the results warehouse)")
-        print("  codec (run/list composable compression codecs)")
-        print("  obs (metrics/trace/summary observability surfaces)")
-        print("  chaos (fault-injection plans and the chaos HTTP proxy)")
-        print("  journal (inspect/compact a service job journal)")
-        print("  analyze (static invariant checkers over the source tree)")
+        (commands,) = [
+            action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+        ]
+        print("available commands:")
+        for choice in commands._choices_actions:
+            print(f"  {choice.dest:<10} {choice.help}")
         return 0
 
     if args.command == "ablations":
@@ -1362,9 +1313,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "all":
-        results = experiments.run_all(fast=args.fast, seed=args.seed, jobs=args.jobs)
+        results = run_all(fast=args.fast, seed=args.seed, jobs=args.jobs)
         if args.json:
-            print(json.dumps({name: json_payload(r) for name, r in results.items()}, indent=2))
+            print(json.dumps(results, indent=2))
         else:
             for result in results.values():
                 print(result["table"])

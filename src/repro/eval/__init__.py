@@ -4,6 +4,7 @@ from . import ablations, experiments
 from .ablations import run_all_ablations
 from .benchmarks import ACCELERATOR_NAMES, BENCHMARK_MODEL_NAMES, BenchmarkSuite
 from .experiments import (
+    EXPERIMENTS,
     figure1_motivation,
     figure3_sparsity_comparison,
     figure6_kl_divergence,
@@ -14,7 +15,9 @@ from .experiments import (
     figure15_stall_breakdown,
     figure16_pareto,
     figure17_llm,
+    json_payload,
     run_all,
+    run_experiment,
     table1_models,
     table2_ant_comparison,
     table3_ptq_comparison,
@@ -31,6 +34,7 @@ __all__ = [
     "ACCELERATOR_NAMES",
     "BENCHMARK_MODEL_NAMES",
     "BenchmarkSuite",
+    "EXPERIMENTS",
     "figure1_motivation",
     "figure3_sparsity_comparison",
     "figure6_kl_divergence",
@@ -41,7 +45,9 @@ __all__ = [
     "figure15_stall_breakdown",
     "figure16_pareto",
     "figure17_llm",
+    "json_payload",
     "run_all",
+    "run_experiment",
     "table1_models",
     "table2_ant_comparison",
     "table3_ptq_comparison",

@@ -16,7 +16,9 @@ for the LLM study (Figure 17).  The substitutions are listed in DESIGN.md.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -84,9 +86,10 @@ __all__ = [
     "figure17_llm",
     "table6_olive_pe",
     "json_payload",
+    "Experiment",
+    "EXPERIMENTS",
+    "run_experiment",
     "run_all",
-    "run_all_parallel",
-    "SUITE_TASKS",
 ]
 
 
@@ -881,144 +884,162 @@ def table6_olive_pe() -> dict:
 
 
 # --------------------------------------------------------------------------- #
-# Driver
+# The experiment table and its driver
 # --------------------------------------------------------------------------- #
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """One artefact of the paper's evaluation, as :data:`EXPERIMENTS` lists it.
+
+    Which caller parameters apply is read off the function's signature:
+    ``models`` when it takes ``models``, a benchmark suite (hence a seed and
+    a process-pool width) when it takes ``suite``, and a seed when it takes
+    ``seed``.
+    """
+
+    function: Callable[..., dict]
+    #: Cold run time (s) of the ``run_all(fast=True)`` call in a fresh
+    #: process on 2 vCPUs; ``run_all(jobs > 1)`` submits the costliest first.
+    cost_s: float
+    #: Model subset ``run_all(fast=True)`` passes; ``None`` keeps the default.
+    fast_models: tuple[str, ...] | None = None
+    #: Takes the ``results`` of the experiment listed just before it rather
+    #: than recomputing them, so ``run_all`` runs the two as one task.
+    reuses_previous: bool = False
+
+    @property
+    def parameters(self) -> Mapping[str, inspect.Parameter]:
+        return inspect.signature(self.function).parameters
+
+    @property
+    def summary(self) -> str:
+        return self.function.__doc__.strip().splitlines()[0]
+
+    @property
+    def params(self) -> dict[str, object]:
+        """Caller-settable parameters and their defaults.
+
+        The seed of a ``suite``-taking experiment seeds its benchmark suite.
+        """
+        params: dict[str, object] = {}
+        if "models" in self.parameters:
+            params["models"] = None
+        if "seed" in self.parameters or "suite" in self.parameters:
+            params["seed"] = 0
+        return params
+
+
+_FAST_SWEEP_MODELS = ("ResNet-50", "ViT-Small", "BERT-MRPC")
+
+#: Every table and figure of the evaluation, in ``repro all`` order.  The CLI
+#: commands, the service job types and :func:`run_all` all read this table.
+EXPERIMENTS: dict[str, Experiment] = {
+    "figure1": Experiment(figure1_motivation, 0.5),
+    "figure3": Experiment(figure3_sparsity_comparison, 1.3),
+    "figure6": Experiment(figure6_kl_divergence, 1.9),
+    "table1": Experiment(table1_models, 0.0),
+    "figure11": Experiment(figure11_accuracy, 2.8, ("ResNet-34", "ViT-Base")),
+    "table2": Experiment(table2_ant_comparison, 1.0),
+    "table3": Experiment(table3_ptq_comparison, 0.4),
+    "figure12": Experiment(figure12_speedup, 1.8, _FAST_SWEEP_MODELS),
+    "figure13": Experiment(figure13_energy, 0.0, _FAST_SWEEP_MODELS, reuses_previous=True),
+    "figure14": Experiment(figure14_load_balance, 3.5),
+    "figure15": Experiment(figure15_stall_breakdown, 1.6),
+    "table4": Experiment(table4_pe_design_space, 0.0),
+    "table5": Experiment(table5_pe_comparison, 0.0),
+    "figure16": Experiment(figure16_pareto, 2.4),
+    "figure17": Experiment(figure17_llm, 0.7),
+    "table6": Experiment(table6_olive_pe, 0.0),
+}
+
+
+def run_experiment(
+    name: str,
+    models: list[str] | None = None,
+    seed: int = 0,
+    jobs: int = 1,
+    results: dict | None = None,
+) -> dict:
+    """Run one named experiment with only the kwargs its function accepts.
+
+    The single entry point of the CLI commands, the service job types and
+    :func:`run_all`, so all three produce byte-identical results for
+    identical inputs.  ``jobs`` sets the process-pool width of a
+    ``suite``-taking experiment's accelerator sweeps; it never changes
+    results.  ``results`` hands a ``reuses_previous`` experiment the results
+    of the one before it.
+    """
+    experiment = EXPERIMENTS[name]
+    kwargs: dict = {}
+    if models:
+        kwargs["models"] = list(models)
+    if "seed" in experiment.parameters:
+        kwargs["seed"] = seed
+    if "suite" in experiment.parameters:
+        kwargs["suite"] = BenchmarkSuite(seed=seed, jobs=jobs)
+    if results is not None:
+        kwargs["results"] = results
+    return experiment.function(**kwargs)
+
+
+def _tasks() -> list[tuple[str, ...]]:
+    """:data:`EXPERIMENTS` as independent tasks: a ``reuses_previous``
+    experiment joins the task of the one before it."""
+    tasks: list[tuple[str, ...]] = []
+    for name, experiment in EXPERIMENTS.items():
+        if experiment.reuses_previous:
+            tasks[-1] += (name,)
+        else:
+            tasks.append((name,))
+    return tasks
+
+
+def _costliest_first(tasks: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
+    """Pool submission order: the schedule then ends on short tasks instead
+    of one long straggler."""
+    return sorted(
+        tasks, key=lambda task: sum(EXPERIMENTS[name].cost_s for name in task), reverse=True
+    )
+
+
+def _run_task(task: tuple[str, ...], fast: bool, seed: int) -> dict[str, dict]:
+    """Run one task of :func:`run_all` and return its JSON payloads by name.
+
+    Takes picklable scalars and returns strict JSON, so it runs the same
+    in-process or on a pool worker.
+    """
+    payloads: dict[str, dict] = {}
+    results = None
+    for name in task:
+        experiment = EXPERIMENTS[name]
+        models = experiment.fast_models if fast else None
+        result = run_experiment(name, models=models, seed=seed, results=results)
+        results = result.get("results")
+        payloads[name] = json_payload(result)
+    return payloads
+
+
 def run_all(fast: bool = True, seed: int = 0, jobs: int = 1) -> dict[str, dict]:
-    """Run every experiment and return their results keyed by experiment name.
+    """Run every experiment; returns their JSON payloads in table order.
 
-    ``fast`` restricts the accelerator sweeps to a representative model subset
-    so the whole paper reproduction completes in a few minutes; without it
-    (``repro all`` without ``--fast``) the sweeps cover all seven models.
-
-    ``jobs > 1`` fans the experiments out over a process pool (see
-    :func:`run_all_parallel`); note that the parallel path returns the
-    strictly-JSON payloads rather than the rich in-process result objects.
+    ``fast`` restricts the sweeps to each experiment's ``fast_models`` so the
+    whole reproduction completes in seconds; without it the sweeps cover
+    every model.  ``jobs > 1`` runs the tasks on a process pool of that
+    width.  The payloads are the same dicts the service caches and ships,
+    and they are identical at every ``jobs``: every experiment is
+    deterministic in ``(fast, seed)``.
     """
-    if jobs > 1:
-        return run_all_parallel(fast=fast, seed=seed, jobs=jobs)
-    suite = BenchmarkSuite(seed=seed)
-    sweep_models = ["ResNet-50", "ViT-Small", "BERT-MRPC"] if fast else BENCHMARK_MODEL_NAMES
-    accuracy_models = ["ResNet-34", "ViT-Base"] if fast else None
+    tasks = _tasks()
+    if jobs <= 1:
+        payloads = [_run_task(task, fast, seed) for task in tasks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    results: dict[str, dict] = {}
-    results["figure1"] = figure1_motivation(seed)
-    results["figure3"] = figure3_sparsity_comparison(seed=seed)
-    results["figure6"] = figure6_kl_divergence(seed)
-    results["table1"] = table1_models()
-    results["figure11"] = figure11_accuracy(models=accuracy_models, seed=seed)
-    results["table2"] = table2_ant_comparison(seed)
-    results["table3"] = table3_ptq_comparison(seed)
-    fig12 = figure12_speedup(models=sweep_models, suite=suite)
-    results["figure12"] = fig12
-    results["figure13"] = figure13_energy(models=sweep_models, suite=suite, results=fig12["results"])
-    results["figure14"] = figure14_load_balance(suite=suite)
-    results["figure15"] = figure15_stall_breakdown(suite=suite)
-    results["table4"] = table4_pe_design_space()
-    results["table5"] = table5_pe_comparison()
-    results["figure16"] = figure16_pareto(seed, suite=suite)
-    results["figure17"] = figure17_llm(seed)
-    results["table6"] = table6_olive_pe()
-    return results
-
-
-#: One process-pool task per entry; figure12/figure13 stay paired so the
-#: energy figure reuses the speedup figure's accelerator results, exactly as
-#: the serial driver does.
-SUITE_TASKS = [
-    "figure1",
-    "figure3",
-    "figure6",
-    "table1",
-    "figure11",
-    "table2",
-    "table3",
-    "figure12+figure13",
-    "figure14",
-    "figure15",
-    "table4",
-    "table5",
-    "figure16",
-    "figure17",
-    "table6",
-]
-
-#: Submission order for the pool: heaviest tasks first so the tail of the
-#: schedule is short cheap tasks instead of one long straggler.
-_TASK_SUBMIT_ORDER = [
-    "figure12+figure13",
-    "figure11",
-    "figure14",
-    "figure15",
-    "figure16",
-    "figure6",
-    "figure17",
-    "figure3",
-    "table2",
-    "table3",
-    "figure1",
-    "table1",
-    "table4",
-    "table5",
-    "table6",
-]
-
-
-def _run_suite_task(task: str, fast: bool, seed: int) -> dict[str, dict]:
-    """Run one :data:`SUITE_TASKS` entry standalone; returns JSON payloads.
-
-    Used as the process-pool worker of :func:`run_all_parallel` (and runnable
-    in-process): everything it needs travels as three picklable scalars, and
-    everything it returns is strict JSON.
-    """
-    suite = BenchmarkSuite(seed=seed)
-    sweep_models = ["ResNet-50", "ViT-Small", "BERT-MRPC"] if fast else BENCHMARK_MODEL_NAMES
-    accuracy_models = ["ResNet-34", "ViT-Base"] if fast else None
-    if task == "figure12+figure13":
-        fig12 = figure12_speedup(models=sweep_models, suite=suite)
-        fig13 = figure13_energy(models=sweep_models, suite=suite, results=fig12["results"])
-        return {"figure12": json_payload(fig12), "figure13": json_payload(fig13)}
-    runners = {
-        "figure1": lambda: figure1_motivation(seed),
-        "figure3": lambda: figure3_sparsity_comparison(seed=seed),
-        "figure6": lambda: figure6_kl_divergence(seed),
-        "table1": table1_models,
-        "figure11": lambda: figure11_accuracy(models=accuracy_models, seed=seed),
-        "table2": lambda: table2_ant_comparison(seed),
-        "table3": lambda: table3_ptq_comparison(seed),
-        "figure14": lambda: figure14_load_balance(suite=suite),
-        "figure15": lambda: figure15_stall_breakdown(suite=suite),
-        "table4": table4_pe_design_space,
-        "table5": table5_pe_comparison,
-        "figure16": lambda: figure16_pareto(seed, suite=suite),
-        "figure17": lambda: figure17_llm(seed),
-        "table6": table6_olive_pe,
-    }
-    return {task: json_payload(runners[task]())}
-
-
-def run_all_parallel(fast: bool = True, seed: int = 0, jobs: int = 2) -> dict[str, dict]:
-    """Run every experiment across a process pool (``repro all --jobs N``).
-
-    Results are keyed and ordered like :func:`run_all` but hold the
-    strictly-JSON payloads (the same dicts the service caches and ships),
-    since rich result objects are wasteful to pickle back from workers.
-    Numbers are identical to the serial driver's payloads: every experiment
-    is deterministic in ``(fast, seed)``.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    payloads: dict[str, dict[str, dict]] = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {
-            task: pool.submit(_run_suite_task, task, fast, seed)
-            for task in _TASK_SUBMIT_ORDER
-        }
-        for task, future in futures.items():
-            payloads[task] = future.result()
-
-    results: dict[str, dict] = {}
-    for task in SUITE_TASKS:
-        results.update(payloads[task])
-    return results
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = {
+                task: pool.submit(_run_task, task, fast, seed)
+                for task in _costliest_first(tasks)
+            }
+            payloads = [futures[task].result() for task in tasks]
+    return {name: payload for chunk in payloads for name, payload in chunk.items()}

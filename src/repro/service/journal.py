@@ -96,11 +96,6 @@ def verify_checksum(record: dict) -> bool:
     return claimed == (zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF)
 
 
-# Internal aliases kept so call sites read as before the rename.
-_checksummed_line = checksummed_line
-_verify_checksum = verify_checksum
-
-
 class JobJournal:
     """Append-only ``journal.jsonl`` under one directory, with replay."""
 
@@ -159,7 +154,7 @@ class JobJournal:
         with self._lock:
             try:
                 maybe_fail("journal.append")
-                line = _checksummed_line({"event": event, **fields})
+                line = checksummed_line({"event": event, **fields})
                 self._handle.write(line + "\n")
                 self._handle.flush()
             except (TypeError, ValueError, OSError):
@@ -247,7 +242,7 @@ class JobJournal:
             if not isinstance(record, dict):
                 self._quarantine(line, index, "not_object")
                 continue
-            if not _verify_checksum(record):  # pops the crc32 field
+            if not verify_checksum(record):  # pops the crc32 field
                 self._quarantine(line, index, "checksum_mismatch")
                 continue
             yield record
@@ -347,12 +342,12 @@ class JobJournal:
                     kept_jobs += 1
                     submit = dict(merged[job_id]["submit"])
                     submit.pop("crc32", None)
-                    handle.write(_checksummed_line(submit) + "\n")
+                    handle.write(checksummed_line(submit) + "\n")
                     finish = merged[job_id]["finish"]
                     if finish is not None:
                         finish = dict(finish)
                         finish.pop("crc32", None)
-                        handle.write(_checksummed_line(finish) + "\n")
+                        handle.write(checksummed_line(finish) + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
             self._handle.close()

@@ -8,7 +8,7 @@ what the cache persists and the HTTP API ships.
 
 :func:`build_default_registry` exposes:
 
-* every table/figure of the paper (the CLI's ``EXPERIMENT_COMMANDS``),
+* every table/figure of the paper (:data:`repro.eval.EXPERIMENTS`),
 * ``ablations`` and the full ``suite`` reproduction,
 * ad-hoc jobs: ``prune_tensor`` (compress one synthetic matrix),
   ``codec_compress`` (any codec or pipeline of the :mod:`repro.codecs`
@@ -21,7 +21,7 @@ what the cache persists and the HTTP API ships.
 
 from __future__ import annotations
 
-import inspect
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -342,32 +342,17 @@ def _run_campaign(spec: Any, jobs: int) -> dict:
     return run_campaign(parse_spec(spec), jobs=int(jobs))
 
 
-def _experiment_runner(name: str) -> Callable[..., dict]:
-    def runner(**params: Any) -> dict:
-        from ..cli import run_experiment
-        from ..eval.experiments import json_payload
+def _run_experiment(name: str, **params: Any) -> dict:
+    from ..eval import json_payload, run_experiment
 
-        return json_payload(run_experiment(name, **params))
-
-    runner.__name__ = f"run_{name}"
-    return runner
+    return json_payload(run_experiment(name, **params))
 
 
 def _run_ablations(seed: int) -> dict:
+    from ..eval import json_payload
     from ..eval.ablations import run_all_ablations
-    from ..eval.experiments import json_payload
 
     return {name: json_payload(result) for name, result in run_all_ablations(seed=seed).items()}
-
-
-def _run_suite(fast: bool, seed: int) -> dict:
-    from ..eval import experiments
-    from ..eval.experiments import json_payload
-
-    return {
-        name: json_payload(result)
-        for name, result in experiments.run_all(fast=fast, seed=seed).items()
-    }
 
 
 def compute_registry_digest(registry: ScenarioRegistry) -> str:
@@ -390,20 +375,12 @@ def compute_registry_digest(registry: ScenarioRegistry) -> str:
 
 def build_default_registry() -> ScenarioRegistry:
     """The standard service registry: experiments + ablations + ad-hoc jobs."""
-    from ..cli import EXPERIMENT_COMMANDS
+    from ..eval import EXPERIMENTS, run_all
 
     registry = ScenarioRegistry()
-    for name, (function, takes_models) in EXPERIMENT_COMMANDS.items():
-        defaults: dict[str, Any] = {}
-        if takes_models:
-            defaults["models"] = None
-        parameters = inspect.signature(function).parameters
-        # A "suite" parameter also consumes the seed (run_experiment builds
-        # the BenchmarkSuite from it), so those experiments are seedable too.
-        if "seed" in parameters or "suite" in parameters:
-            defaults["seed"] = 0
-        summary = (function.__doc__ or name).strip().splitlines()[0]
-        registry.add(name, summary, _experiment_runner(name), defaults)
+    for name, experiment in EXPERIMENTS.items():
+        runner = functools.partial(_run_experiment, name)
+        registry.add(name, experiment.summary, runner, experiment.params)
 
     registry.add(
         "ablations",
@@ -414,7 +391,7 @@ def build_default_registry() -> ScenarioRegistry:
     registry.add(
         "suite",
         "Run the full paper reproduction (every table and figure).",
-        _run_suite,
+        run_all,
         {"fast": True, "seed": 0},
     )
     registry.add(

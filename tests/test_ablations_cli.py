@@ -1,10 +1,15 @@
-"""Tests for the ablation studies and the command-line interface."""
+"""Tests for the ablation studies and the command-line interface.
+
+Each ablation class checks a narrow sweep and, where the trend should hold
+across it, the ablation's full default sweep.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cli import EXPERIMENT_COMMANDS, main
+from repro.cli import main
+from repro.eval import EXPERIMENTS
 from repro.eval.ablations import (
     beta_ablation,
     channel_alignment_ablation,
@@ -19,11 +24,17 @@ class TestGroupSizeAblation:
     def result(self):
         return group_size_ablation(group_sizes=(8, 32, 128), num_columns=4)
 
-    def test_metadata_amortizes_with_group_size(self, result):
+    @pytest.fixture(scope="class")
+    def default_sweep(self):
+        return group_size_ablation()
+
+    def test_metadata_amortizes_with_group_size(self, result, default_sweep):
         rows = {row["group_size"]: row for row in result["rows"]}
         assert rows[8]["effective_bits"] > rows[32]["effective_bits"] > rows[128]["effective_bits"]
         # The limit is 8 - 4 = 4 bits/weight.
         assert rows[128]["effective_bits"] > 4.0
+        bits = [row["effective_bits"] for row in default_sweep["rows"]]
+        assert bits == sorted(bits, reverse=True)
 
     def test_error_grows_with_group_size(self, result):
         rows = {row["group_size"]: row for row in result["rows"]}
@@ -44,9 +55,14 @@ class TestConstantBitsAblation:
     def result(self):
         return constant_bits_ablation(constant_bits=(2, 4, 6, 7))
 
-    def test_error_monotonically_non_increasing(self, result):
-        errors = [row["mse"] for row in result["rows"]]
-        assert all(errors[i + 1] <= errors[i] + 1e-9 for i in range(len(errors) - 1))
+    @pytest.fixture(scope="class")
+    def default_sweep(self):
+        return constant_bits_ablation()
+
+    def test_error_monotonically_non_increasing(self, result, default_sweep):
+        for sweep in (result, default_sweep):
+            errors = [row["mse"] for row in sweep["rows"]]
+            assert all(errors[i + 1] <= errors[i] + 1e-9 for i in range(len(errors) - 1))
 
     def test_six_bits_is_near_saturation(self, result):
         rows = {row["constant_bits"]: row for row in result["rows"]}
@@ -61,10 +77,15 @@ class TestBetaAblation:
     def result(self):
         return beta_ablation(betas=(0.0, 0.10, 0.40))
 
-    def test_more_sensitive_channels_mean_less_error_more_bits(self, result):
-        rows = {row["beta"]: row for row in result["rows"]}
-        assert rows[0.40]["mse"] <= rows[0.0]["mse"]
-        assert rows[0.40]["effective_bits"] >= rows[0.0]["effective_bits"]
+    @pytest.fixture(scope="class")
+    def default_sweep(self):
+        return beta_ablation()
+
+    def test_more_sensitive_channels_mean_less_error_more_bits(self, result, default_sweep):
+        for sweep in (result, default_sweep):
+            rows = {row["beta"]: row for row in sweep["rows"]}
+            assert rows[0.40]["mse"] <= rows[0.0]["mse"]
+            assert rows[0.40]["effective_bits"] >= rows[0.0]["effective_bits"]
 
     def test_sensitive_fraction_at_least_beta(self, result):
         for row in result["rows"]:
@@ -73,7 +94,7 @@ class TestBetaAblation:
 
 class TestSubGroupAblation:
     def test_sub_group_8_optimized_minimizes_area(self):
-        rows = sub_group_ablation(sub_groups=(16, 8, 4, 2))["rows"]
+        rows = sub_group_ablation()["rows"]  # the default sweep: 16, 8, 4, 2
         optimized = {row["sub_group"]: row for row in rows if row["optimized"]}
         assert min(optimized, key=lambda k: optimized[k]["area_um2"]) == 8
 
@@ -105,7 +126,7 @@ class TestCli:
         assert "figure12" in output and "ablations" in output
 
     def test_every_experiment_registered(self):
-        assert len(EXPERIMENT_COMMANDS) == 16  # 10 figures + 6 tables
+        assert len(EXPERIMENTS) == 16  # 10 figures + 6 tables
 
     def test_table5_command(self, capsys):
         assert main(["table5"]) == 0
@@ -116,6 +137,19 @@ class TestCli:
         assert main(["figure3", "--models", "ViT-Small"]) == 0
         output = capsys.readouterr().out
         assert "ViT-Small" in output
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--models", "ResNet-50"],
+            ["table1", "--seed", "3"],
+            ["table4", "--jobs", "4"],
+            ["figure3", "--jobs", "2"],
+        ],
+    )
+    def test_flag_the_experiment_does_not_take_fails(self, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
 
     def test_unknown_command_fails(self):
         with pytest.raises(SystemExit):

@@ -16,7 +16,7 @@ import pytest
 from repro.chaos import FaultPlan, clear_plan, install_plan
 from repro.obs.metrics import get_metrics
 from repro.service import JobJournal, JobState, ResultCache, ScenarioRegistry, WorkerPool
-from repro.service.journal import DEFAULT_KEEP_FINISHED, _checksummed_line
+from repro.service.journal import DEFAULT_KEEP_FINISHED, checksummed_line
 from repro.service.workers import job_digest
 
 
@@ -140,7 +140,7 @@ class TestCorruptionQuarantine:
         path = tmp_path / "journal.jsonl"
         with path.open("w") as handle:
             handle.write('{"event": "submit", "job_id": "job-1\n')  # mid-file
-            handle.write(_checksummed_line({"event": "noop"}) + "\n")
+            handle.write(checksummed_line({"event": "noop"}) + "\n")
             handle.write('{"event": "submit", "job_id": "job-2')  # torn tail
         journal = JobJournal(tmp_path)
         list(journal.records())

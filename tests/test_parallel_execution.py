@@ -1,7 +1,7 @@
 """Tests for the process-pool execution paths added in PR 2.
 
 Covers the three fan-out layers: ``BenchmarkSuite.performances`` with
-``jobs > 1``, the standalone suite tasks behind ``repro all --jobs``, and the
+``jobs > 1``, the experiment-table tasks behind ``repro all --jobs``, and the
 service worker pool's process mode.  Every parallel path must produce results
 identical to its serial counterpart — all workloads are deterministic in
 their inputs.
@@ -12,13 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.eval.benchmarks import BenchmarkSuite, performance_summary
-from repro.eval.experiments import (
-    SUITE_TASKS,
-    _TASK_SUBMIT_ORDER,
-    _run_suite_task,
-    json_payload,
-    table1_models,
-)
+from repro.eval import EXPERIMENTS, json_payload, table1_models
+from repro.eval.experiments import _costliest_first, _run_task, _tasks
 from repro.service import JobState, WorkerPool, build_default_registry
 
 
@@ -50,14 +45,20 @@ class TestSuiteProcessPool:
 
 class TestSuiteTasks:
     def test_task_lists_cover_every_experiment_once(self):
-        assert sorted(SUITE_TASKS) == sorted(_TASK_SUBMIT_ORDER)
-        flattened = [
-            name for task in SUITE_TASKS for name in task.split("+")
-        ]
-        assert len(flattened) == len(set(flattened)) == 16
+        tasks = _tasks()
+        # Every experiment runs exactly once, in table order.
+        assert [name for task in tasks for name in task] == list(EXPERIMENTS)
+        assert len(EXPERIMENTS) == 16
+        # The --jobs submission order covers every task, costliest first.
+        order = _costliest_first(tasks)
+        assert sorted(order) == sorted(tasks)
+        costs = [sum(EXPERIMENTS[name].cost_s for name in task) for task in order]
+        assert costs == sorted(costs, reverse=True)
+        # Figure 13 reuses Figure 12's simulations, so the two share a task.
+        assert ("figure12", "figure13") in tasks
 
     def test_standalone_task_matches_serial_payload(self):
-        payload = _run_suite_task("table1", fast=True, seed=0)
+        payload = _run_task(("table1",), fast=True, seed=0)
         assert payload == {"table1": json_payload(table1_models())}
 
 

@@ -256,10 +256,10 @@ class TestJobStoreBounds:
 class TestDefaultRegistry:
     def test_covers_every_experiment_and_adhoc_job(self):
         registry = build_default_registry()
-        from repro.cli import EXPERIMENT_COMMANDS
+        from repro.eval import EXPERIMENTS
 
         names = registry.names()
-        for name in EXPERIMENT_COMMANDS:
+        for name in EXPERIMENTS:
             assert name in names
         for name in ("ablations", "suite", "prune_tensor", "simulate"):
             assert name in names
