@@ -19,7 +19,7 @@ Entry points: ``repro campaign run|resume|report|dispatch`` on the CLI, and
 the ``campaign`` scenario (``POST /campaign``) on the service.
 """
 
-from .dispatch import CampaignDispatcher, DispatchError, dispatch_campaign
+from .dispatch import CampaignDispatcher, DispatchError
 from .report import build_report, report_csv, serialize_report
 from .runner import CampaignRunError, CampaignRunner, run_campaign
 from .spec import (
@@ -44,7 +44,6 @@ __all__ = [
     "CampaignSpecError",
     "DispatchError",
     "build_report",
-    "dispatch_campaign",
     "expand_spec",
     "load_spec",
     "parse_spec",

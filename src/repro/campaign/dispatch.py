@@ -11,20 +11,21 @@ digest (a re-dispatched cell lands where its result is cached), refuses
 registry-skewed nodes, answers 429 for a saturated node, and replays a dead
 node's unfinished cells onto survivors — polls never see the death.
 
-What is left here is one loop: submit up to the window, poll, checkpoint,
-back off on 429.  Everything else is identical to a local run — the run
-directory layout, the per-cell ``results/<digest>.json`` checkpoints, and
-the report built only from the manifest order and the checkpoint payloads —
-so a dispatched report is **byte-identical** to a local one, resumes
+The grid walk is the local runner's own
+:meth:`~repro.campaign.runner.CampaignRunner.walk` — dependency order,
+failed-grid propagation, checkpoint skipping, the report once the manifest
+is complete — so grid DAG semantics are a local run's by construction.  What
+is left here is the endpoint executor for one grid: submit up to the window,
+poll, checkpoint, back off on 429.  The run directory layout, the per-cell
+``results/<digest>.json`` checkpoints, and the report built only from the
+manifest order and the checkpoint payloads are the runner's too — so a
+dispatched report is **byte-identical** to a local one, resumes
 idempotently, and when no node is left the dispatch fails with
-:class:`DispatchError` and the checkpoints intact.  Grid DAG semantics match
-the local runner: a grid runs after its dependencies completed, and grids
-depending on a failed grid stay pending.
+:class:`DispatchError` and the checkpoints intact.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from contextlib import contextmanager
@@ -45,10 +46,10 @@ from ..service.client import (
     ServiceUnavailable,
 )
 from ..service.registry import compute_registry_digest
-from .runner import CampaignRunError, CampaignRunner, _write_atomic
+from .runner import CampaignRunner
 from .spec import CampaignJob, CampaignSpec
 
-__all__ = ["CampaignDispatcher", "DispatchError", "dispatch_campaign"]
+__all__ = ["CampaignDispatcher", "DispatchError"]
 
 _COOLDOWNS_TOTAL = get_metrics().get("repro_dispatch_cooldowns_total")
 
@@ -71,11 +72,6 @@ _DEAD_AFTER = 2.0
 
 class DispatchError(RuntimeError):
     """No reachable node is left to run the remaining cells."""
-
-
-def _breaker_stats(client) -> dict | None:
-    breaker = getattr(client, "breaker", None)  # test doubles may lack one
-    return breaker.stats() if breaker is not None else None
 
 
 @dataclass
@@ -236,7 +232,7 @@ class CampaignDispatcher:
             member = gateway.nodes.get(node_id)
             node.alive = member.state == "healthy"
             node.reason = member.reason
-            node.breaker = _breaker_stats(gateway.node_client(node_id))
+            node.breaker = gateway.node_client(node_id).breaker.stats()
 
     def _check_registry(self) -> None:
         """The one skew check: the endpoint must canonicalize like the plan."""
@@ -311,15 +307,12 @@ class CampaignDispatcher:
                 parent=self._root_span.context if self._root_span else None,
             )
             cell.started_at = time.time()
-        # The spec's per-job budget rides along on every cell (only when
-        # set, so client doubles without the kwarg keep working).
-        submit_kwargs: dict = {}
-        if getattr(self.spec, "deadline_s", None) is not None:
-            submit_kwargs["deadline_s"] = self.spec.deadline_s
         with obs_trace.activate(cell.span):
             try:
                 record = self.client.submit(
-                    cell.job.scenario, to_jsonable(cell.job.params), **submit_kwargs
+                    cell.job.scenario,
+                    to_jsonable(cell.job.params),
+                    deadline_s=self.spec.deadline_s,
                 )
             except ServiceRequestError:
                 cell.attempts += 1  # the endpoint answered: it counts
@@ -358,16 +351,11 @@ class CampaignDispatcher:
     def run(self) -> dict:
         """Dispatch every pending cell; return the run stats.
 
-        Writes the aggregate report when the whole manifest is checkpointed
-        (exactly like a completing local run) and raises
-        :class:`~repro.campaign.runner.CampaignRunError` when cells failed
-        remotely, or :class:`DispatchError` when no node is left.
+        :meth:`CampaignRunner.walk` walks the plan with :meth:`_run_grid` as
+        its executor.  Raises :class:`~repro.campaign.runner.CampaignRunError`
+        when cells failed remotely, or :class:`DispatchError` when no node is
+        left.
         """
-        executed = 0
-        skipped = 0
-        failures: list[tuple[CampaignJob, str]] = []
-        failed_grids: set[str] = set()
-        report_written = False
         # The root span is created but NOT activated for the whole run: cell
         # spans parent to it explicitly, while the poll-loop GETs stay out of
         # the trace (hundreds of poll requests would drown the cell tree).
@@ -382,79 +370,38 @@ class CampaignDispatcher:
         with timed("campaign.dispatch") as timer:
             try:
                 self.runner.prepare_run_dir()
-                completed = self.runner.completed_digests()
                 with self._endpoint():
                     self._check_registry()
-                    for grid_name in self.plan.stage_order:
-                        grid = next(g for g in self.spec.grids if g.name == grid_name)
-                        if any(dep in failed_grids for dep in grid.depends_on):
-                            failed_grids.add(grid_name)  # dependents of failures stay pending
-                            continue
-                        grid_jobs = self.plan.jobs_for_grid(grid_name)
-                        pending = [job for job in grid_jobs if job.digest not in completed]
-                        skipped += len(grid_jobs) - len(pending)
-                        executed += self._run_grid(
-                            grid_name, pending, completed, failures, failed_grids
-                        )
-
-                if not failures:
-                    completed = self.runner.completed_digests()
-                    if not any(job.digest not in completed for job in self.plan.jobs):
-                        self.runner.write_report()
-                        report_written = True
-            finally:
-                self._root_span.finish(status="error" if failures else "ok")
+                    stats, failures = self.runner.walk(self.plan, self._run_grid)
+            except BaseException as error:
+                self._root_span.finish(error=f"{type(error).__name__}: {error}")
+                raise
+            self._root_span.finish(status="error" if failures else "ok")
 
         if self.gateway is not None:
-            self.nodes[0].breaker = _breaker_stats(self.client)
+            self.nodes[0].breaker = self.client.breaker.stats()
+        del stats["interrupted"]  # no max_jobs budget: a dispatch runs to the end
         self.stats = {
-            "campaign": self.spec.name,
-            "spec_digest": self.plan.spec_digest(),
-            "run_dir": str(self.run_dir),
+            **stats,
             "mode": "gateway" if self.gateway is not None else "dispatch",
             "trace_id": self._root_span.trace_id,
             "nodes": [node.summary() for node in self.nodes],
-            "total_cells": len(self.plan.jobs),
-            "executed": executed,
-            "skipped_checkpointed": skipped,
-            "failed": len(failures),
-            "report_written": report_written,
             "elapsed_seconds": timer.seconds,
-            "client": self._client_summary(),
+            "client": {
+                "retries": sum(self.client.retries_by_reason.values()),
+                "retries_by_reason": dict(sorted(self.client.retries_by_reason.items())),
+                "cooldowns_429": self._cooldowns,
+            },
         }
-        _write_atomic(
-            self.run_dir / "state.json",
-            json.dumps(to_jsonable(self.stats), indent=2, sort_keys=True) + "\n",
-        )
-        if failures:
-            raise CampaignRunError(failures)
-        return self.stats
-
-    def _client_summary(self) -> dict:
-        """Retry/cooldown counts for the end-of-run summary.
-
-        Tolerates client doubles without the retry tally (tests inject
-        factories); real :class:`ServiceClient` instances always have it.
-        """
-        tally = getattr(self.client, "retries_by_reason", None) or {}
-        return {
-            "retries": sum(tally.values()),
-            "retries_by_reason": dict(sorted(tally.items())),
-            "cooldowns_429": self._cooldowns,
-        }
+        return self.runner.finish(self.stats, failures)
 
     def _run_grid(
-        self,
-        grid_name: str,
-        pending: list[CampaignJob],
-        completed: set[str],
-        failures: list[tuple[CampaignJob, str]],
-        failed_grids: set[str],
-    ) -> int:
-        """Run one grid's pending cells through the endpoint; return cells executed."""
+        self, grid_name: str, pending: list[CampaignJob]
+    ) -> list[tuple[CampaignJob, str]]:
+        """Run one grid's pending cells through the endpoint; return the failures."""
         queue = [_Cell(job) for job in pending]
-        outstanding: dict[str, _Cell] = {}  # digest -> in-flight cell
-        executed = 0
+        outstanding: dict[str, _Cell] = {}  # cell id -> in-flight cell
+        failures: list[tuple[CampaignJob, str]] = []
         idle_sleep = self.poll_interval
 
         def retry_or_fail(cell: _Cell, error: ServiceRequestError) -> None:
@@ -468,90 +415,81 @@ class CampaignDispatcher:
                 failures.append(
                     (cell.job, f"gave up after {cell.attempts} attempt(s): {error}")
                 )
-                failed_grids.add(grid_name)
                 cell.span.finish(error=f"gave up after {cell.attempts} attempt(s)")
             else:
                 queue.insert(0, cell)
 
-        while queue or outstanding:
-            self._check_nodes_left()
-            while queue and len(outstanding) < self._window:
-                cell = queue.pop(0)
-                try:
-                    self._submit(cell)
-                except ServiceUnavailable as error:
-                    queue.insert(0, cell)  # parked until the endpoint drains
-                    if not error.saturated:
-                        self._check_nodes_left(error)
+        cells = list(queue)
+        try:
+            while queue or outstanding:
+                self._check_nodes_left()
+                while queue and len(outstanding) < self._window:
+                    cell = queue.pop(0)
+                    try:
+                        self._submit(cell)
+                    except ServiceUnavailable as error:
+                        queue.insert(0, cell)  # parked until the endpoint drains
+                        if not error.saturated:
+                            self._check_nodes_left(error)
+                            break
+                        # A full queue (429 through every retry) is backpressure,
+                        # not death: hold no more than what is in flight now.
+                        self._window = max(1, len(outstanding))
+                        self._cooldowns += 1
+                        _COOLDOWNS_TOTAL.inc()
                         break
-                    # A full queue (429 through every retry) is backpressure,
-                    # not death: hold no more than what is in flight now.
-                    self._window = max(1, len(outstanding))
-                    self._cooldowns += 1
-                    _COOLDOWNS_TOTAL.inc()
-                    break
-                except ServiceRequestError as error:
-                    # The endpoint refused this cell outright.
-                    retry_or_fail(cell, error)
-                    continue
-                outstanding[cell.job.digest] = cell
+                    except ServiceRequestError as error:
+                        # The endpoint refused this cell outright.
+                        retry_or_fail(cell, error)
+                        continue
+                    outstanding[cell.job.cell] = cell
 
-            # Only poll outcomes count as progress: a fresh submission does
-            # not skip the back-off, or every cell would cost an extra poll.
-            progressed = False
-            for digest, cell in list(outstanding.items()):
-                try:
-                    record = self.client.job(cell.remote_id)
-                    if record["state"] == "done":
-                        record = self.client.result(cell.remote_id)
-                except ServiceUnavailable as error:
-                    self._check_nodes_left(error)
-                    continue
-                except ServiceRequestError as error:
-                    del outstanding[digest]
+                # Only poll outcomes count as progress: a fresh submission does
+                # not skip the back-off, or every cell would cost an extra poll.
+                progressed = False
+                for cell_id, cell in list(outstanding.items()):
+                    try:
+                        record = self.client.job(cell.remote_id)
+                        if record["state"] == "done":
+                            record = self.client.result(cell.remote_id)
+                    except ServiceUnavailable as error:
+                        self._check_nodes_left(error)
+                        continue
+                    except ServiceRequestError as error:
+                        del outstanding[cell_id]
+                        progressed = True
+                        retry_or_fail(cell, error)
+                        continue
+                    if record["state"] not in _TERMINAL:
+                        continue
+                    del outstanding[cell_id]
                     progressed = True
-                    retry_or_fail(cell, error)
-                    continue
-                if record["state"] not in _TERMINAL:
-                    continue
-                del outstanding[digest]
-                progressed = True
-                if record["state"] == "done":
-                    node = self._node_for(record)
-                    self.runner.checkpoint(
-                        cell.job, record["result"], timing=self._cell_timing(cell, record, node)
-                    )
-                    completed.add(digest)
-                    if node is not None:
-                        node.completed += 1
-                    executed += 1
-                    cell.span.set_attr("attempts", cell.attempts)
-                    cell.span.finish()
-                else:
-                    failures.append(
-                        (cell.job, record.get("error") or f"remote job {record['state']}")
-                    )
-                    failed_grids.add(grid_name)
-                    cell.span.finish(error=f"remote job {record['state']}")
-            if progressed:
-                idle_sleep = self.poll_interval
-            elif queue or outstanding:
-                # Sweeps that find nothing back off (capped at 1s) so a grid
-                # of slow cells is not polled at full tilt for minutes.
-                time.sleep(idle_sleep)
-                idle_sleep = min(idle_sleep * 1.5, 1.0)
-        return executed
-
-
-def dispatch_campaign(
-    spec: dict | CampaignSpec,
-    endpoints: list[str],
-    run_dir: str | Path,
-    **kwargs,
-) -> dict:
-    """Dispatch a campaign across ``endpoints`` and return the run stats."""
-    from .spec import parse_spec
-
-    if not isinstance(spec, CampaignSpec):
-        spec = parse_spec(spec)
-    return CampaignDispatcher(spec, endpoints, run_dir, **kwargs).run()
+                    if record["state"] == "done":
+                        node = self._node_for(record)
+                        self.runner.checkpoint(
+                            cell.job, record["result"], timing=self._cell_timing(cell, record, node)
+                        )
+                        if node is not None:
+                            node.completed += 1
+                        cell.span.set_attr("attempts", cell.attempts)
+                        cell.span.finish()
+                    else:
+                        failures.append(
+                            (cell.job, record.get("error") or f"remote job {record['state']}")
+                        )
+                        cell.span.finish(error=f"remote job {record['state']}")
+                if progressed:
+                    idle_sleep = self.poll_interval
+                elif queue or outstanding:
+                    # Sweeps that find nothing back off (capped at 1s) so a grid
+                    # of slow cells is not polled at full tilt for minutes.
+                    time.sleep(idle_sleep)
+                    idle_sleep = min(idle_sleep * 1.5, 1.0)
+        except BaseException as error:
+            # The fleet is gone (or the run was stopped): close the span of
+            # every cell still on its way, so the trace shows where it died.
+            for cell in cells:
+                if cell.span is not None:
+                    cell.span.finish(error=f"{type(error).__name__}: {error}")
+            raise
+        return failures

@@ -10,13 +10,18 @@ A campaign run owns a *run directory*::
       report.json          # aggregate report (written once all cells exist)
       report.csv           # the same cells as one rectangular table
 
-Execution walks the grid DAG in topological order and ships each grid's
-pending cells to a :class:`repro.service.workers.WorkerPool` (threads by
+:meth:`CampaignRunner.walk` is the one grid walk, shared by local and
+dispatched runs: it visits the grid DAG in topological order, leaves the
+dependents of a failed grid pending, applies the ``max_jobs`` budget, and
+writes the report once the manifest is checkpointed.  Executing a grid's
+cells is the executor's job.  The local executor (:meth:`CampaignRunner.run`)
+ships them to a :class:`repro.service.workers.WorkerPool` (threads by
 default, processes on request) — so a campaign is sharded across workers
 exactly like service traffic, and identical cells inside one run collapse
 onto a single computation through the pool's content-hash
 :class:`~repro.core.cache.ResultCache` (worker processes additionally reuse
-model/tensor artifacts through :mod:`repro.core.memo`).
+model/tensor artifacts through :mod:`repro.core.memo`).  The endpoint
+executor lives in :mod:`repro.campaign.dispatch`.
 
 Checkpoints make runs resumable: a cell whose ``results/<digest>.json``
 already exists is never recomputed — killing a campaign after N of M jobs
@@ -33,6 +38,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Callable
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Any
 
@@ -238,8 +245,6 @@ class CampaignRunner:
         from ..service.jobs import JobState
         from ..service.workers import WorkerPool
 
-        failures: list[tuple[CampaignJob, str]] = []
-        report_written = False
         # The root span makes this run one trace: pool.submit captures the
         # active context, so every cell's job.run (and its codec spans)
         # nests under campaign.run.
@@ -249,99 +254,118 @@ class CampaignRunner:
         ):
             self.prepare_run_dir()
             shard_plan = self.plan.shard(self.shard_index, self.shard_count)
-            completed = self.completed_digests()
-
             pool = WorkerPool(
                 self.registry,
                 cache=ResultCache(max_entries=max(256, len(shard_plan.jobs))),
                 max_workers=self.jobs,
                 use_processes=self.use_processes,
             )
-            executed = 0
-            skipped = 0
-            budget_left = self.max_jobs
-            failed_grids: set[str] = set()
-            interrupted = False
-            try:
-                for grid_name in shard_plan.stage_order:
-                    grid = next(g for g in self.spec.grids if g.name == grid_name)
-                    if any(dep in failed_grids for dep in grid.depends_on):
-                        failed_grids.add(grid_name)  # dependents of failures stay pending
-                        continue
-                    pending = [
-                        job
-                        for job in shard_plan.jobs_for_grid(grid_name)
-                        if job.digest not in completed
-                    ]
-                    skipped += len(shard_plan.jobs_for_grid(grid_name)) - len(pending)
-                    if budget_left is not None:
-                        if budget_left == 0 and pending:
-                            interrupted = True
-                            break
-                        pending = pending[:budget_left]
-                    # One grid is a barrier (its cells may be another grid's
-                    # dependency); inside it, cells fan out across the pool.
-                    in_flight = [
-                        (job, pool.submit(
-                            job.scenario, job.params,
-                            deadline_s=self.spec.deadline_s,
-                        ))
-                        for job in pending
-                    ]
-                    for job, pool_job in in_flight:
-                        pool_job.wait()
-                        if pool_job.state is JobState.FAILED:
-                            failures.append((job, pool_job.error or "unknown error"))
-                            failed_grids.add(grid_name)
-                            continue
+
+            def run_grid(grid_name: str, pending: list[CampaignJob]) -> list:
+                # One grid is a barrier (its cells may be another grid's
+                # dependency); inside it, cells fan out across the pool.
+                in_flight = [
+                    (job, pool.submit(job.scenario, job.params, deadline_s=self.spec.deadline_s))
+                    for job in pending
+                ]
+                failures = []
+                for job, pool_job in in_flight:
+                    pool_job.wait()
+                    if pool_job.state is JobState.FAILED:
+                        failures.append((job, pool_job.error or "unknown error"))
+                    else:
                         self.checkpoint(job, pool_job.result, timing=job_timing(pool_job))
-                        completed.add(job.digest)
-                        executed += 1
-                    if budget_left is not None:
-                        budget_left -= len(in_flight)
-                        if budget_left <= 0 and self._shard_pending(shard_plan, completed):
-                            interrupted = True
-                            break
+                return failures
+
+            try:
+                stats, failures = self.walk(shard_plan, run_grid, self.max_jobs)
             finally:
                 pool.shutdown()
 
-            if not failures and not interrupted:
-                # Re-glob rather than trusting the start-of-run snapshot: in a
-                # shared run directory other shards may have checkpointed cells
-                # while this shard executed, and the last finisher must notice.
-                completed = self.completed_digests()
-                if not self._plan_pending(completed):
-                    self.write_report()
-                    report_written = True
-
         self.stats = {
+            **stats,
+            "shard": {"index": self.shard_index, "count": self.shard_count},
+            "shard_cells": len(shard_plan.jobs),
+            "elapsed_seconds": timer.seconds,
+            "pool": pool.stats(),
+        }
+        return self.finish(self.stats, failures)
+
+    def walk(
+        self,
+        plan: CampaignPlan,
+        run_grid: Callable[[str, list[CampaignJob]], list[tuple[CampaignJob, str]]],
+        max_jobs: int | None = None,
+    ) -> tuple[dict, list[tuple[CampaignJob, str]]]:
+        """Walk ``plan``'s grid DAG; return the common stats and the failures.
+
+        Grids run in topological order, each through ``run_grid(grid_name,
+        pending)``: the executor runs the grid's un-checkpointed cells,
+        checkpoints each success through :meth:`checkpoint`, and returns the
+        failed ``(job, error)`` pairs.  A grid depending on a failed grid
+        stays pending.  ``max_jobs`` caps the cells handed out; a run that
+        stops at the cap with cells left is ``interrupted``.  Once the whole
+        manifest is checkpointed the report is (re)written.
+        """
+        grids = {grid.name: grid for grid in self.spec.grids}
+        completed = self.completed_digests()
+        failures: list[tuple[CampaignJob, str]] = []
+        failed_grids: set[str] = set()
+        executed = skipped = 0
+        interrupted = False
+        for grid_name in plan.stage_order:
+            if any(dep in failed_grids for dep in grids[grid_name].depends_on):
+                failed_grids.add(grid_name)  # dependents of failures stay pending
+                continue
+            grid_jobs = plan.jobs_for_grid(grid_name)
+            pending = [job for job in grid_jobs if job.digest not in completed]
+            skipped += len(grid_jobs) - len(pending)
+            if max_jobs is not None:
+                pending = pending[:max_jobs]
+                max_jobs -= len(pending)
+            grid_failures = run_grid(grid_name, pending)
+            failures += grid_failures
+            failed = {job.cell for job, _ in grid_failures}
+            if failed:
+                failed_grids.add(grid_name)
+            done = [job for job in pending if job.cell not in failed]
+            executed += len(done)
+            completed.update(job.digest for job in done)
+            if max_jobs == 0 and any(job.digest not in completed for job in plan.jobs):
+                interrupted = True
+                break
+
+        report_written = False
+        if not failures and not interrupted:
+            # Re-glob rather than trusting the start-of-run snapshot: in a
+            # shared run directory other shards may have checkpointed cells
+            # while this one executed, and the last finisher must notice.
+            completed = self.completed_digests()
+            if all(job.digest in completed for job in self.plan.jobs):
+                self.write_report()
+                report_written = True
+        stats = {
             "campaign": self.spec.name,
             "spec_digest": self.plan.spec_digest(),
             "run_dir": str(self.run_dir),
-            "shard": {"index": self.shard_index, "count": self.shard_count},
             "total_cells": len(self.plan.jobs),
-            "shard_cells": len(shard_plan.jobs),
             "executed": executed,
             "skipped_checkpointed": skipped,
             "failed": len(failures),
             "interrupted": interrupted,
             "report_written": report_written,
-            "elapsed_seconds": timer.seconds,
-            "pool": pool.stats(),
         }
+        return stats, failures
+
+    def finish(self, stats: dict, failures: list[tuple[CampaignJob, str]]) -> dict:
+        """Persist ``stats`` as ``state.json``; raise if any cell failed."""
         _write_atomic(
             self.run_dir / "state.json",
-            json.dumps(to_jsonable(self.stats), indent=2, sort_keys=True) + "\n",
+            json.dumps(to_jsonable(stats), indent=2, sort_keys=True) + "\n",
         )
         if failures:
             raise CampaignRunError(failures)
-        return self.stats
-
-    def _shard_pending(self, shard_plan: CampaignPlan, completed: set[str]) -> bool:
-        return any(job.digest not in completed for job in shard_plan.jobs)
-
-    def _plan_pending(self, completed: set[str]) -> bool:
-        return any(job.digest not in completed for job in self.plan.jobs)
+        return stats
 
     def checkpoint(
         self, job: CampaignJob, result: Any, timing: dict | None = None
@@ -413,11 +437,11 @@ def run_campaign(
     """
     if not isinstance(spec, CampaignSpec):
         spec = parse_spec(spec)
-    if run_dir is not None:
-        runner = CampaignRunner(spec, run_dir, jobs=jobs, **kwargs)
-        runner.run()
-        return runner.build_report()
-    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as scratch:
-        runner = CampaignRunner(spec, scratch, jobs=jobs, **kwargs)
+    if run_dir is None:
+        directory = tempfile.TemporaryDirectory(prefix="repro-campaign-")
+    else:
+        directory = nullcontext(run_dir)
+    with directory as path:
+        runner = CampaignRunner(spec, path, jobs=jobs, **kwargs)
         runner.run()
         return runner.build_report()

@@ -854,6 +854,17 @@ def _parse_shard(value: str | None) -> tuple[int, int]:
         ) from None
 
 
+def _default_run_dir(spec) -> str:
+    return f"runs/{spec.name}-{spec.digest()[:12]}"
+
+
+def _print_cell_failures(error) -> None:
+    print(f"error: {error}", file=sys.stderr)
+    for job, trace in error.failures[:3]:
+        last_line = trace.strip().splitlines()[-1] if trace.strip() else "unknown"
+        print(f"  {job.cell}: {last_line}", file=sys.stderr)
+
+
 def _campaign_dispatch(args: argparse.Namespace) -> int:
     from .campaign import (
         CampaignDispatcher,
@@ -872,7 +883,7 @@ def _campaign_dispatch(args: argparse.Namespace) -> int:
     client_options = {"api_key": args.api_key} if args.api_key else None
     try:
         spec = load_spec(args.spec)
-        run_dir = args.run_dir or f"runs/{spec.name}-{spec.digest()[:12]}"
+        run_dir = args.run_dir or _default_run_dir(spec)
         dispatcher = CampaignDispatcher(
             spec,
             endpoints=args.nodes or [],
@@ -884,7 +895,7 @@ def _campaign_dispatch(args: argparse.Namespace) -> int:
             client_options=client_options,
         )
         stats = dispatcher.run()
-    except (FileNotFoundError, ValueError) as error:
+    except (FileNotFoundError, ValueError, ServiceError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except DispatchError as error:
@@ -895,14 +906,8 @@ def _campaign_dispatch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    except ServiceError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     except CampaignRunError as error:
-        print(f"error: {error}", file=sys.stderr)
-        for job, trace in error.failures[:3]:
-            last_line = trace.strip().splitlines()[-1] if trace.strip() else "unknown"
-            print(f"  {job.cell}: {last_line}", file=sys.stderr)
+        _print_cell_failures(error)
         return 1
 
     fleet = (
@@ -972,7 +977,7 @@ def _campaign(args: argparse.Namespace) -> int:
         )
         if args.campaign_command == "run":
             spec = load_spec(args.spec)
-            run_dir = args.run_dir or f"runs/{spec.name}-{spec.digest()[:12]}"
+            run_dir = args.run_dir or _default_run_dir(spec)
             runner = CampaignRunner(spec, run_dir, **options)
         else:  # resume
             runner = CampaignRunner.resume(args.run_dir, **options)
@@ -983,10 +988,7 @@ def _campaign(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except CampaignRunError as error:
-        print(f"error: {error}", file=sys.stderr)
-        for job, trace in error.failures[:3]:
-            last_line = trace.strip().splitlines()[-1] if trace.strip() else "unknown"
-            print(f"  {job.cell}: {last_line}", file=sys.stderr)
+        _print_cell_failures(error)
         return 1
 
     shard = stats["shard"]

@@ -320,6 +320,54 @@ class TestRunner:
         assert len(list((runner.run_dir / "results").glob("*.json"))) == 0
 
 
+class TestWalk:
+    """The one grid walk, driven by a stub executor: no pool, no HTTP."""
+
+    @staticmethod
+    def stub(runner, calls, failing=()):
+        def run_grid(grid_name, pending):
+            calls.append((grid_name, [job.cell for job in pending]))
+            failures = []
+            for job in pending:
+                if grid_name in failing:
+                    failures.append((job, "stub failure"))
+                else:
+                    runner.checkpoint(job, {"cell": job.cell})
+            return failures
+
+        return run_grid
+
+    def test_max_jobs_cut_then_second_walk_skips_checkpoints(self, tmp_path):
+        runner = CampaignRunner(parse_spec(SPEC), tmp_path / "walk")
+        runner.prepare_run_dir()
+        calls = []
+        stats, failures = runner.walk(runner.plan, self.stub(runner, calls), max_jobs=3)
+        assert calls == [("pruning", ["pruning/0", "pruning/1", "pruning/2"])]
+        assert stats["executed"] == 3 and stats["interrupted"]
+        assert not stats["report_written"] and not failures
+
+        calls.clear()
+        stats, failures = runner.walk(runner.plan, self.stub(runner, calls))
+        assert calls == [("pruning", ["pruning/3"]), ("quant", ["quant/0", "quant/1"])]
+        assert stats["skipped_checkpointed"] == 3 and stats["executed"] == 3
+        assert not stats["interrupted"] and stats["report_written"]
+        assert (runner.run_dir / "report.json").is_file()
+
+    def test_failed_grid_keeps_its_dependents_pending(self, tmp_path):
+        runner = CampaignRunner(parse_spec(SPEC), tmp_path / "walk")
+        runner.prepare_run_dir()
+        calls = []
+        stats, failures = runner.walk(
+            runner.plan, self.stub(runner, calls, failing={"pruning"})
+        )
+        assert [grid for grid, _ in calls] == ["pruning"]
+        assert stats["failed"] == len(failures) == 4 and stats["executed"] == 0
+        assert not stats["report_written"]
+        with pytest.raises(CampaignRunError, match="4 campaign cell"):
+            runner.finish(stats, failures)
+        assert json.loads((runner.run_dir / "state.json").read_text())["failed"] == 4
+
+
 # --------------------------------------------------------------------------- #
 # Service and registry integration
 # --------------------------------------------------------------------------- #

@@ -7,13 +7,15 @@ after node loss and across resume boundaries — produces ``report.json`` /
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
 import pytest
 
-from repro.campaign import CampaignRunner, parse_spec
+from repro.campaign import CampaignRunError, CampaignRunner, parse_spec
 from repro.campaign.dispatch import CampaignDispatcher, DispatchError
+from repro.obs.trace import get_recorder
 from repro.service import create_server
 from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.registry import JobType, build_default_registry
@@ -67,6 +69,10 @@ def local_reports(tmp_path_factory):
     )
 
 
+def spans_named(trace_id: str, name: str) -> list[dict]:
+    return [s for s in get_recorder().buffer.spans_for_trace(trace_id) if s["name"] == name]
+
+
 def fast_client(url, **kwargs):
     kwargs.setdefault("retries", 1)
     kwargs.setdefault("backoff", 0.01)
@@ -116,6 +122,48 @@ class TestTwoNodeDispatch:
         dead = next(n for n in stats["nodes"] if n["url"] == "http://127.0.0.1:1")
         assert not dead["alive"] and dead["completed"] == 0
         assert (tmp_path / "run/report.json").read_bytes() == local_reports[0]
+
+    def test_cells_with_a_repeated_digest_all_execute(self, fleet, tmp_path):
+        # seed [0, 0, 1]: two cells of one grid share a digest.  Each is its
+        # own cell — executed, checkpointed and traced — exactly as locally.
+        spec = parse_spec({
+            "name": "repeated-digest",
+            "grids": [{
+                "name": "prune",
+                "scenario": "prune_tensor",
+                "params": {"rows": 16, "cols": 64},
+                "sweep": {"seed": [0, 0, 1]},
+            }],
+        })
+        local = CampaignRunner(spec, tmp_path / "local", jobs=2).run()
+        dispatcher = CampaignDispatcher(
+            spec, fleet, tmp_path / "run", poll_interval=0.02, client_factory=fast_client
+        )
+        stats = dispatcher.run()
+        assert local["executed"] == stats["executed"] == 3
+        cells = spans_named(stats["trace_id"], "dispatch.cell")
+        assert sorted(span["attrs"]["cell"] for span in cells) == [
+            "prune/0", "prune/1", "prune/2",
+        ]
+        assert all(span["status"] == "ok" for span in cells)
+        assert (tmp_path / "run/report.json").read_bytes() == (
+            tmp_path / "local/report.json"
+        ).read_bytes()
+
+    def test_dependent_grid_waits_for_failed_dependency(self, fleet, tmp_path):
+        # The dispatcher twin of the local runner's test: the same walk
+        # leaves the dependents of a failed grid pending.
+        raw = json.loads(json.dumps(SPEC))
+        raw["grids"][0]["params"]["rows"] = -1  # first grid fails
+        dispatcher = CampaignDispatcher(
+            parse_spec(raw), fleet, tmp_path / "run",
+            poll_interval=0.02, client_factory=fast_client,
+        )
+        with pytest.raises(CampaignRunError):
+            dispatcher.run()
+        assert dispatcher.stats["executed"] == 0
+        assert dispatcher.stats["failed"] == 3
+        assert not list((tmp_path / "run" / "results").glob("*.json"))
 
 
 class TestNodeLossMidRun:
@@ -207,6 +255,46 @@ class TestNodeLossMidRun:
             dispatcher.run()
         # The run directory is prepared, so a later dispatch/run can resume.
         assert (tmp_path / "run" / "manifest.json").is_file()
+        (root,) = spans_named(dispatcher._root_span.trace_id, "campaign.dispatch")
+        assert root["status"] == "error" and "no reachable service node" in root["error"]
+
+    def test_fleet_lost_mid_run_finishes_every_cell_span(self, tmp_path):
+        # Both nodes stop listening after the first checkpoint: the dispatch
+        # fails, and every cell span it opened is still finished, with the
+        # error, so the trace shows where the run died.
+        servers = []
+        for _ in range(2):
+            server = create_server(port=0, max_workers=2)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            servers.append(server)
+        dispatcher = CampaignDispatcher(
+            parse_spec(SPEC), [f"http://127.0.0.1:{s.port}" for s in servers],
+            tmp_path / "run", poll_interval=0.02, client_factory=fast_client,
+        )
+        real_checkpoint = dispatcher.runner.checkpoint
+
+        def checkpoint(*args, **kwargs):
+            real_checkpoint(*args, **kwargs)
+            for server in servers:
+                server.close(wait=False)
+
+        dispatcher.runner.checkpoint = checkpoint
+        try:
+            with pytest.raises(DispatchError):
+                dispatcher.run()
+        finally:
+            for server in servers:
+                server.close()
+        trace_id = dispatcher._root_span.trace_id
+        (root,) = spans_named(trace_id, "campaign.dispatch")
+        assert root["status"] == "error"
+        cells = {span["attrs"]["cell"]: span for span in spans_named(trace_id, "dispatch.cell")}
+        # The whole first grid was in flight (the window holds 16 cells).
+        assert {"quant/0", "quant/1", "quant/2"} <= set(cells)
+        checkpointed = len(list((tmp_path / "run" / "results").glob("*.json")))
+        failed = [span for span in cells.values() if span["status"] == "error"]
+        assert len(cells) - len(failed) == checkpointed
+        assert failed and all("DispatchError" in span["error"] for span in failed)
 
     def test_registry_skew_refuses_the_node(self, fleet, local_reports, tmp_path):
         # A node built from a different scenario registry canonicalizes jobs
