@@ -20,10 +20,12 @@ Figures 12/13.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..area_power import PEDesign, bitvert_pe
-from ..common import BitSerialAccelerator, GroupCycleStats, ModelPerformance
+from ..common import BitSerialAccelerator, GroupCycleStats
 from ...core.binary_pruning import PrunedTensor, prune_tensor
 from ...core.bitplane import column_ones
 from ...core.encoding import METADATA_BITS
@@ -58,6 +60,8 @@ class BitVertAccelerator(BitSerialAccelerator):
         self.min_cycles_per_group = min_cycles_per_group
         self.weight_bits = weight_bits
         self.name = f"BitVert ({preset.name})"
+        #: Compressions by layer digest: the last :meth:`compress_model`'s,
+        #: then stand-alone ones made by :meth:`run_layer`.
         self._compressed: dict[str, PrunedTensor] = {}
 
     def pe_design(self) -> PEDesign:
@@ -67,18 +71,36 @@ class BitVertAccelerator(BitSerialAccelerator):
     def compress_model(
         self, model: ModelSpec, weights: dict[str, LayerWeights]
     ) -> dict[str, PrunedTensor]:
-        """Run global binary pruning over all layers and cache the result."""
+        """Run global binary pruning over all layers and cache the result.
+
+        Returns the compressions by layer name; later :meth:`run_layer` calls
+        on any of these layers reuse them.
+        """
         layer_weights = {name: lw.int_weights for name, lw in weights.items()}
         channel_scores = {name: lw.channel_scores for name, lw in weights.items()}
         result = global_binary_prune(
-            layer_weights, channel_scores, preset=self.preset, keep_original=False
+            layer_weights,
+            channel_scores,
+            preset=self.preset,
+            keep_original=False,
+            weights_digests={name: lw.digest for name, lw in weights.items()},
         )
-        self._compressed = dict(result.pruned_layers)
-        return self._compressed
+        self._compressed = {
+            weights[name].digest: pruned for name, pruned in result.pruned_layers.items()
+        }
+        return dict(result.pruned_layers)
+
+    def for_model(
+        self, model: ModelSpec, weights: dict[str, LayerWeights]
+    ) -> "BitVertAccelerator":
+        """A copy holding this model's global pruning (Algorithm 2)."""
+        scoped = copy.copy(self)
+        scoped.compress_model(model, weights)
+        return scoped
 
     def _layer_compression(self, layer: LayerWeights) -> PrunedTensor:
-        if layer.name in self._compressed:
-            return self._compressed[layer.name]
+        if layer.digest in self._compressed:
+            return self._compressed[layer.digest]
         # Stand-alone layer evaluation: select the sensitive channels locally.
         scores = np.asarray(layer.channel_scores, dtype=np.float64)
         count = int(np.ceil(self.preset.beta * scores.size))
@@ -93,15 +115,10 @@ class BitVertAccelerator(BitSerialAccelerator):
             bits=self.weight_bits,
             sensitive_channels=sensitive,
             keep_original=False,
+            weights_digest=layer.digest,
         )
-        self._compressed[layer.name] = compressed
+        self._compressed[layer.digest] = compressed
         return compressed
-
-    def run_model(
-        self, model: ModelSpec, weights: dict[str, LayerWeights]
-    ) -> ModelPerformance:
-        self.compress_model(model, weights)
-        return super().run_model(model, weights)
 
     # ------------------------------------------------------------------ cycles
     def group_cycle_stats(self, layer: LayerWeights) -> GroupCycleStats:

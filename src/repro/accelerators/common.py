@@ -31,15 +31,17 @@ Terminology used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from math import ceil
 
 import numpy as np
 
 from .area_power import PEDesign
+from ..core.memo import memoized_evaluation
 from ..memory.hierarchy import MemorySystem, MemoryTraffic
 from ..nn.model_zoo import ModelSpec
-from ..nn.synthetic import LayerWeights
+from ..nn.synthetic import LayerWeights, layer_digests
 from ..nn.workloads import GemmWorkload, layer_workload
 
 __all__ = [
@@ -156,6 +158,10 @@ class ModelPerformance:
     model: str
     layers: list[LayerPerformance] = field(default_factory=list)
     clock_ghz: float = 0.8
+
+    def copy(self) -> "ModelPerformance":
+        """An independent copy (layer records hold only immutable values)."""
+        return replace(self, layers=[copy.copy(layer) for layer in self.layers])
 
     @property
     def total_cycles(self) -> float:
@@ -347,10 +353,54 @@ class Accelerator:
             repeat=workload.repeat,
         )
 
+    def configuration(self) -> dict:
+        """Everything an evaluation depends on besides the model and weights.
+
+        The design class and every public attribute: the array, the memory
+        system and the design parameters.  Private attributes are per-layer
+        caches of results that these already determine.
+        """
+        config = {k: v for k, v in vars(self).items() if not k.startswith("_")}
+        config["design"] = f"{type(self).__module__}.{type(self).__qualname__}"
+        return config
+
+    def for_model(
+        self, model: ModelSpec, weights: dict[str, LayerWeights]
+    ) -> "Accelerator":
+        """The accelerator that evaluates ``model``'s layers.
+
+        Designs with model-wide state (BitVert's global pruning, SparTen's
+        model-dependent activation sparsity) return a configured copy, so
+        :meth:`run_model` leaves no state behind on ``self``.
+        """
+        del model, weights
+        return self
+
     def run_model(
         self, model: ModelSpec, weights: dict[str, LayerWeights]
     ) -> ModelPerformance:
-        """Evaluate a whole model given its (synthetic) per-layer weights."""
+        """Evaluate a whole model given its (synthetic) per-layer weights.
+
+        Memoized (:func:`~repro.core.memo.memoized_evaluation`) on
+        :meth:`configuration`, the model spec and the ordered layer digests.
+        The key covers the whole model, not each layer, because an
+        evaluation may depend on every layer (BitVert's global pruning).
+        """
+        key = (
+            "Accelerator.run_model",
+            self.configuration(),
+            model.digest,
+            layer_digests(weights),
+        )
+        return memoized_evaluation(
+            key,
+            lambda: self.for_model(model, weights)._run_layers(model, weights),
+            clone=ModelPerformance.copy,
+        )
+
+    def _run_layers(
+        self, model: ModelSpec, weights: dict[str, LayerWeights]
+    ) -> ModelPerformance:
         result = ModelPerformance(
             accelerator=self.name, model=model.name, clock_ghz=self.array.clock_ghz
         )

@@ -15,10 +15,12 @@ a pairing-overhead factor.  Weight storage carries the bitmask overhead.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .area_power import DEFAULT_GATE_COSTS, GateCosts, PEDesign
-from .common import BitSerialAccelerator, GroupCycleStats, ModelPerformance
+from .common import BitSerialAccelerator, GroupCycleStats
 from ..nn.model_zoo import ModelSpec
 from ..nn.synthetic import LayerWeights
 from ..nn.workloads import GemmWorkload
@@ -55,12 +57,18 @@ class SparTenAccelerator(BitSerialAccelerator):
     def pe_design(self) -> PEDesign:
         return sparten_pe()
 
-    def run_model(self, model: ModelSpec, weights) -> ModelPerformance:
-        # Activation value sparsity is a property of the model family (ReLU
-        # CNNs vs GELU transformers); pick it up from the model spec so one
-        # SparTen instance can evaluate the whole benchmark suite.
-        self.activation_sparsity = model.activation_value_sparsity
-        return super().run_model(model, weights)
+    def for_model(self, model: ModelSpec, weights) -> "SparTenAccelerator":
+        """A copy using ``model``'s activation sparsity.
+
+        Activation value sparsity is a property of the model family (ReLU
+        CNNs vs GELU transformers); take it from the model spec so one SparTen
+        instance can evaluate the whole benchmark suite.  The constructor's
+        value still applies to stand-alone :meth:`run_layer` calls.
+        """
+        del weights
+        scoped = copy.copy(self)
+        scoped.activation_sparsity = model.activation_value_sparsity
+        return scoped
 
     def group_cycle_stats(self, layer: LayerWeights) -> GroupCycleStats:
         groups = self.layer_groups(layer)

@@ -19,8 +19,8 @@ This subpackage implements the paper's primary algorithmic contribution:
 * :mod:`repro.core.hashing` — stable content digests of tensors and
   configurations (cache keys for the service layer).
 * :mod:`repro.core.cache` / :mod:`repro.core.memo` — content-hash LRU cache
-  and the process-wide artifact memo that deduplicates model synthesis and
-  layer compression across experiments.
+  and the process-wide artifact memo that deduplicates model synthesis,
+  layer compression and whole-model evaluations across experiments.
 """
 
 from .bitplane import (
@@ -61,7 +61,14 @@ from .global_pruning import (
 from .cache import CacheStats, ResultCache
 from .grouping import GroupedTensor, group_weights, ungroup_weights
 from .hashing import stable_digest, tensor_digest
-from .memo import ArtifactMemo, clear_memo, get_memo, memo_disabled, memo_stats
+from .memo import (
+    ArtifactMemo,
+    clear_memo,
+    get_memo,
+    memo_disabled,
+    memo_stats,
+    memoized_evaluation,
+)
 from .metrics import (
     cosine_similarity,
     effective_bits,
@@ -135,6 +142,7 @@ __all__ = [
     "get_memo",
     "memo_disabled",
     "memo_stats",
+    "memoized_evaluation",
     # metrics
     "cosine_similarity",
     "effective_bits",

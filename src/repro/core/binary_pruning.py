@@ -185,6 +185,7 @@ def prune_tensor(
     bits: int = 8,
     sensitive_channels: np.ndarray | None = None,
     keep_original: bool = True,
+    weights_digest: str | None = None,
 ) -> PrunedTensor:
     """Apply binary pruning to a 2-D integer weight matrix.
 
@@ -206,6 +207,11 @@ def prune_tensor(
         :mod:`repro.core.global_pruning`.
     keep_original:
         Keep a copy of the original matrix to enable MSE/KL reporting.
+    weights_digest:
+        A content digest that determines ``weights`` and that the caller
+        already has (a synthesized layer's
+        :attr:`~repro.nn.synthetic.LayerWeights.digest`).  The memo then keys
+        on it instead of hashing the array.
     """
     strategy = PruningStrategy(strategy)
     weights = np.asarray(weights)
@@ -226,12 +232,14 @@ def prune_tensor(
 
     # Content-hash memo: identical (weights, configuration) pairs are
     # compressed once per process; ``keep_original`` is deliberately outside
-    # the key because it does not affect the compressed artifact.
+    # the key because it does not affect the compressed artifact.  A carried
+    # digest (a string) and an array are tagged apart by ``stable_digest``.
     memo = get_memo()
     memo_key = None
     if memo.enabled:
+        content = weights if weights_digest is None else weights_digest
         memo_key = stable_digest(
-            "prune_tensor", weights, num_columns, strategy, group_size, bits, sensitive
+            "prune_tensor", content, num_columns, strategy, group_size, bits, sensitive
         )
         cached = memo.tensors.get(memo_key)
         if cached is not None:

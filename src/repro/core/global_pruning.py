@@ -191,6 +191,7 @@ def global_binary_prune(
     preset: PruningPreset = MODERATE_PRESET,
     bits: int = 8,
     keep_original: bool = True,
+    weights_digests: dict[str, str] | None = None,
 ) -> GlobalPruningResult:
     """Apply hardware-aware global binary pruning to a whole model.
 
@@ -203,6 +204,10 @@ def global_binary_prune(
     preset:
         Pruning configuration (:data:`CONSERVATIVE_PRESET` or
         :data:`MODERATE_PRESET`, or a custom :class:`PruningPreset`).
+    weights_digests:
+        Optional per-layer content digests of ``layer_weights`` (synthesized
+        layers carry one), passed on to :func:`prune_tensor` so it need not
+        hash the arrays.
     """
     missing = set(layer_weights) - set(channel_scores)
     if missing:
@@ -230,6 +235,7 @@ def global_binary_prune(
             bits=bits,
             sensitive_channels=masks[name],
             keep_original=keep_original,
+            weights_digest=(weights_digests or {}).get(name),
         )
     return GlobalPruningResult(
         pruned_layers=pruned_layers, sensitive_masks=masks, preset=preset

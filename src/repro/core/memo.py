@@ -8,7 +8,7 @@ identical presets.  PR 1's service cache deduplicates whole *jobs* from the
 outside; this memo deduplicates the *artifacts inside* them, so a cold job is
 fast too.
 
-Two :class:`~repro.core.cache.ResultCache` instances (the PR 1 machinery,
+Three :class:`~repro.core.cache.ResultCache` instances (the PR 1 machinery,
 memory-only) are keyed by :func:`~repro.core.hashing.stable_digest` of the
 full input:
 
@@ -17,33 +17,50 @@ full input:
   biases with their test accuracy (figure 11), keyed by the layer sizes, the
   starting weights and biases, the four dataset arrays, and the epochs,
   batch size, learning rate and shuffle seed;
-* ``tensors`` — ``prune_tensor`` results, keyed by the layer digest and the
-  complete pruning configuration (columns, strategy, group size, word width,
-  sensitive-channel mask).
+* ``tensors`` — ``prune_tensor`` results, keyed by the weight array (or the
+  carried digest of a synthesized layer) and the complete pruning
+  configuration (columns, strategy, group size, word width, sensitive-channel
+  mask);
+* ``evaluations`` — whole-model results of the deterministic evaluators,
+  through :func:`memoized_evaluation`: ``Accelerator.run_model`` keyed by the
+  accelerator's configuration (design class, array, memory, design
+  parameters), the model spec and the ordered ``(layer name, layer digest)``
+  pairs, and the figure 11/16 model compressions keyed by the method, group
+  size and the same pairs.  The key is per model, not per layer, because
+  BitVert selects its sensitive channels across the whole model.
+
+A layer digest is computed once, when ``synthesize_layer`` builds the
+:class:`~repro.nn.synthetic.LayerWeights`, whose arrays are then frozen
+(``writeable=False``), so the digest cannot go stale.
 
 Cache invalidation is therefore automatic: any change to any input — a
 different seed, cap, preset, mask, or a single weight — produces a different
-digest and a fresh computation.  ``tensors`` entries keep private array
-copies and hits return fresh copies, so callers may freely mutate a
-``PrunedTensor`` they receive.  ``models`` entries share their (large)
-``LayerWeights`` objects across hits to avoid copying whole models per
-experiment; treat synthesized weights as read-only, as every caller in the
-repository does.  Trained-MLP entries keep private copies, and a hit copies
-them into the classifier's own arrays.
+digest and a fresh computation.  ``tensors`` and ``evaluations`` entries keep
+private copies and hits return fresh copies, so callers may freely mutate a
+``PrunedTensor`` or ``ModelPerformance`` they receive.  ``models`` entries
+share their (large) ``LayerWeights`` objects across hits to avoid copying
+whole models per experiment; their frozen arrays make that safe.
+Trained-MLP entries keep private copies, and a hit copies them into the
+classifier's own arrays.
 
 The memo is per-process (worker processes build their own) and is enabled by
 default; set ``REPRO_MEMO=0`` to disable it, or use :func:`memo_disabled` to
-suspend it in a scope (benchmarks measuring cold kernels do this).  Capacity
-is bounded LRU; tune with ``REPRO_MEMO_MODELS`` / ``REPRO_MEMO_TENSORS``.
+suspend it in a scope (benchmarks measuring cold kernels do this); both, and
+:func:`clear_memo`, cover all three caches.  Capacity is bounded LRU; tune
+the first two with ``REPRO_MEMO_MODELS`` / ``REPRO_MEMO_TENSORS``.
+``evaluations`` holds :data:`EVALUATION_ENTRIES` small records, several
+times what one ``repro all`` run stores.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Callable, Iterator, TypeVar
 
-from .cache import ResultCache
+from .cache import MISSING, ResultCache
+from .hashing import stable_digest
 
 __all__ = [
     "ArtifactMemo",
@@ -51,7 +68,15 @@ __all__ = [
     "memo_stats",
     "clear_memo",
     "memo_disabled",
+    "memoized_evaluation",
+    "EVALUATION_ENTRIES",
 ]
+
+T = TypeVar("T")
+
+#: Capacity of the ``evaluations`` cache.  Its entries are model-level
+#: summaries (a few kB each), far fewer than one ``repro all`` run makes.
+EVALUATION_ENTRIES = 1024
 
 
 def _env_int(name: str, default: int) -> int:
@@ -72,7 +97,8 @@ def _env_enabled() -> bool:
 
 
 class ArtifactMemo:
-    """LRU memo for synthesized models, trained MLPs and compressed tensors."""
+    """LRU memo for synthesized models, trained MLPs, compressed tensors and
+    whole-model evaluations."""
 
     def __init__(
         self,
@@ -86,6 +112,7 @@ class ArtifactMemo:
         self.tensors = ResultCache(
             max_entries=max_tensors or _env_int("REPRO_MEMO_TENSORS", 256)
         )
+        self.evaluations = ResultCache(max_entries=EVALUATION_ENTRIES)
         self.enabled = _env_enabled() if enabled is None else enabled
 
     def stats(self) -> dict:
@@ -94,12 +121,14 @@ class ArtifactMemo:
             "enabled": self.enabled,
             "models": self.models.stats(),
             "tensors": self.tensors.stats(),
+            "evaluations": self.evaluations.stats(),
         }
 
     def clear(self) -> None:
         """Drop every memoized artifact and reset the hit/miss counters."""
         self.models = ResultCache(max_entries=self.models.max_entries)
         self.tensors = ResultCache(max_entries=self.tensors.max_entries)
+        self.evaluations = ResultCache(max_entries=EVALUATION_ENTRIES)
 
 
 _MEMO = ArtifactMemo()
@@ -127,3 +156,26 @@ def memo_disabled() -> Iterator[None]:
         yield
     finally:
         _MEMO.enabled = previous
+
+
+def memoized_evaluation(
+    key: tuple[Any, ...],
+    compute: Callable[[], T],
+    clone: Callable[[T], T] = copy.deepcopy,
+) -> T:
+    """``compute()``, memoized in ``evaluations`` under ``stable_digest(*key)``.
+
+    ``key`` must hold everything the result depends on.  The memo keeps a
+    private ``clone`` (a deep copy by default) and every hit returns a fresh
+    one, so a caller that mutates its result cannot poison later hits.
+    """
+    memo = _MEMO
+    if not memo.enabled:
+        return compute()
+    digest = stable_digest("evaluation", *key)
+    cached = memo.evaluations.get(digest, MISSING)
+    if cached is not MISSING:
+        return clone(cached)
+    result = compute()
+    memo.evaluations.put(digest, clone(result))
+    return result

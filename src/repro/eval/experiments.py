@@ -46,13 +46,14 @@ from ..core import (
     PruningStrategy,
     global_binary_prune,
     kl_divergence,
+    memoized_evaluation,
     mse,
     normalized_kl,
     prune_tensor,
     sparsity_report,
 )
 from ..nn.model_zoo import get_model, llama3_8b
-from ..nn.synthetic import LayerWeights, synthesize_model
+from ..nn.synthetic import LayerWeights, layer_digests, synthesize_model
 from ..nn.trainer import (
     MLPClassifier,
     accuracy_under_compression,
@@ -140,7 +141,7 @@ class CompressionOutcome:
 
 def _compress_model(
     weights: dict[str, LayerWeights],
-    method: str,
+    method: str | PruningPreset,
     group_size: int = 32,
 ) -> CompressionOutcome:
     """Apply one compression method to every layer and report KL/MSE/footprint.
@@ -148,19 +149,36 @@ def _compress_model(
     The supported methods mirror the paper's comparisons: ``bbs_cons`` /
     ``bbs_mod`` (binary pruning presets), ``bitwave`` (zero-column bit-flip),
     ``ptq4`` / ``ptq5`` / ``ptq6`` (naive sub-8-bit PTQ), ``microscaling6``,
-    ``noisyquant6``, ``ant6`` and ``olive4``.
+    ``noisyquant6``, ``ant6`` and ``olive4``.  A :class:`PruningPreset` means
+    global binary pruning with that preset.
+
+    Memoized (:func:`~repro.core.memo.memoized_evaluation`) on the method,
+    the group size and the ordered layer digests.
     """
+    key = ("_compress_model", method, group_size, layer_digests(weights))
+    return memoized_evaluation(key, lambda: _compress_layers(weights, method, group_size))
+
+
+def _compress_layers(
+    weights: dict[str, LayerWeights], method: str | PruningPreset, group_size: int
+) -> CompressionOutcome:
     kls: list[float] = []
     mses: list[float] = []
     stored_bits = 0.0
     total_weights = 0
 
-    preset_map = {"bbs_cons": CONSERVATIVE_PRESET, "bbs_mod": MODERATE_PRESET}
-    if method in preset_map:
-        preset = preset_map[method]
+    if isinstance(method, PruningPreset):
+        preset = method
+        method = preset.name
+    else:
+        preset = {"bbs_cons": CONSERVATIVE_PRESET, "bbs_mod": MODERATE_PRESET}.get(method)
+    if preset is not None:
         layer_ints = {name: lw.int_weights for name, lw in weights.items()}
         scores = {name: lw.channel_scores for name, lw in weights.items()}
-        result = global_binary_prune(layer_ints, scores, preset=preset)
+        digests = {name: lw.digest for name, lw in weights.items()}
+        result = global_binary_prune(
+            layer_ints, scores, preset=preset, weights_digests=digests
+        )
         for pruned in result.pruned_layers.values():
             kls.append(pruned.kl_divergence())
             mses.append(pruned.mse())
@@ -724,6 +742,21 @@ def table5_pe_comparison() -> dict:
     return {"rows": rows, "table": format_table(rows, title="Table V")}
 
 
+#: Figure 16's BitVert pruning-ratio sweep: (design label, preset).
+FIGURE16_BITVERT_SWEEP = (
+    ("BitVert (beta 10%, 2 cols)", CONSERVATIVE_PRESET),
+    (
+        "BitVert (beta 20%, 3 cols)",
+        PruningPreset("custom3", 0.20, 3, PruningStrategy.ZERO_POINT_SHIFT),
+    ),
+    ("BitVert (beta 20%, 4 cols)", MODERATE_PRESET),
+    (
+        "BitVert (beta 10%, 5 cols)",
+        PruningPreset("custom5", 0.10, 5, PruningStrategy.ZERO_POINT_SHIFT),
+    ),
+)
+
+
 def figure16_pareto(seed: int = 0, suite: BenchmarkSuite | None = None) -> dict:
     """Figure 16: EDP vs accuracy-loss trade-off on ResNet-50.
 
@@ -763,26 +796,11 @@ def figure16_pareto(seed: int = 0, suite: BenchmarkSuite | None = None) -> dict:
     )
 
     # BitVert pruning-ratio sweep.
-    sweep = [
-        ("BitVert (beta 10%, 2 cols)", CONSERVATIVE_PRESET),
-        (
-            "BitVert (beta 20%, 3 cols)",
-            PruningPreset("custom3", 0.20, 3, PruningStrategy.ZERO_POINT_SHIFT),
-        ),
-        ("BitVert (beta 20%, 4 cols)", MODERATE_PRESET),
-        (
-            "BitVert (beta 10%, 5 cols)",
-            PruningPreset("custom5", 0.10, 5, PruningStrategy.ZERO_POINT_SHIFT),
-        ),
-    ]
-    for label, preset in sweep:
-        accel = BitVertAccelerator(preset=preset, array=suite.array)
-        perf = accel.run_model(model, weights)
-        layer_ints = {name: lw.int_weights for name, lw in weights.items()}
-        scores = {name: lw.channel_scores for name, lw in weights.items()}
-        pruned = global_binary_prune(layer_ints, scores, preset=preset)
+    for label, preset in FIGURE16_BITVERT_SWEEP:
+        perf = BitVertAccelerator(preset=preset, array=suite.array).run_model(model, weights)
+        outcome = _compress_model(weights, preset)
         points.append(
-            {"design": label, "kl_proxy": pruned.mean_kl_divergence(), "edp": perf.energy_delay_product}
+            {"design": label, "kl_proxy": outcome.mean_kl, "edp": perf.energy_delay_product}
         )
 
     max_edp = max(point["edp"] for point in points)

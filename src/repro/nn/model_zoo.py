@@ -19,6 +19,9 @@ a multiplicity so very large models (Llama-3-8B) stay cheap to analyse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+from ..core.hashing import stable_digest
 
 __all__ = [
     "Conv2dSpec",
@@ -125,6 +128,11 @@ class ModelSpec:
     int8_accuracy: float
     activation_value_sparsity: float = 0.0
     notes: str = ""
+
+    @cached_property
+    def digest(self) -> str:
+        """Content digest of the whole spec, computed once (the spec is frozen)."""
+        return stable_digest("ModelSpec", self)
 
     def unique_layers(self) -> list[tuple[LayerSpec, int]]:
         """Layers with their repeat counts (identical blocks described once)."""

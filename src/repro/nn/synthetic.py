@@ -24,7 +24,8 @@ full dimensions on record, so that even Llama-3-8B can be analysed in seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "synthesize_layer",
     "synthesize_model",
     "synthesize_activations",
+    "layer_digests",
 ]
 
 
@@ -98,6 +100,13 @@ class LayerWeights:
         (1.0 when the layer was generated in full).
     repeat:
         How many identical layers in the model this tensor stands for.
+    digest:
+        Content digest of ``spec``, ``quantized`` (values, scales, bits,
+        per-channel flag), ``sample_fraction`` and ``repeat``, computed once
+        at construction.  The arrays are frozen (``writeable=False``) at the
+        same time, so the digest stays valid and memo keys can use it instead
+        of re-hashing the weights.  ``float_weights`` is not read by any
+        evaluation and is left out.
     """
 
     spec: LayerSpec
@@ -105,6 +114,14 @@ class LayerWeights:
     float_weights: np.ndarray
     sample_fraction: float
     repeat: int = 1
+    digest: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        for array in (self.quantized.values, self.quantized.scales, self.float_weights):
+            array.flags.writeable = False
+        self.digest = stable_digest(
+            "LayerWeights", self.spec, self.quantized, self.sample_fraction, self.repeat
+        )
 
     @property
     def name(self) -> str:
@@ -122,6 +139,11 @@ class LayerWeights:
     @property
     def full_weight_count(self) -> int:
         return self.spec.weight_count * self.repeat
+
+
+def layer_digests(weights: Mapping[str, LayerWeights]) -> list[tuple[str, str]]:
+    """Ordered ``(layer name, layer digest)`` pairs: the content key of a model's weights."""
+    return [(name, layer.digest) for name, layer in weights.items()]
 
 
 def _stats_for_family(family: str) -> WeightStatistics:
@@ -177,7 +199,11 @@ def synthesize_layer(
     max_reduction: int = 4096,
     group_size: int = 32,
 ) -> LayerWeights:
-    """Generate synthetic per-channel INT8 weights for one layer spec."""
+    """Generate synthetic per-channel INT8 weights for one layer spec.
+
+    The returned layer's arrays are read-only and it carries its content
+    digest (see :class:`LayerWeights`).
+    """
     stats = stats or _stats_for_family(family)
     channels, reduction, fraction = _sampled_dims(
         spec, max_channels, max_reduction, group_size

@@ -19,6 +19,7 @@ from repro.accelerators import (
 )
 from repro.core.global_pruning import CONSERVATIVE_PRESET, MODERATE_PRESET
 from repro.nn.model_zoo import get_model
+from repro.nn.synthetic import synthesize_model
 from repro.nn.workloads import layer_workload
 
 
@@ -180,6 +181,45 @@ class TestLayerPerformance:
         partial = dict(list(small_resnet_weights.items())[:3])
         with pytest.raises(KeyError):
             accel.run_model(resnet_model, partial)
+
+
+class TestNoStateAcrossCalls:
+    """An accelerator instance's results do not depend on its earlier calls."""
+
+    def test_bitvert_layer_compression_follows_the_tensor(self, small_resnet_weights):
+        # Same layer name, different weights: the second call must not reuse
+        # the first tensor's compression.
+        spec = get_model("ResNet-50").layers[5]
+        workload = layer_workload(spec)
+        reseeded = synthesize_model(
+            get_model("ResNet-50"), seed=1, max_channels=64, max_reduction=256
+        )[spec.name]
+        accel = BitVertAccelerator()
+        accel.run_layer(workload, small_resnet_weights[spec.name])
+        reused = accel.run_layer(workload, reseeded)
+        fresh = BitVertAccelerator().run_layer(workload, reseeded)
+        assert reused == fresh
+
+    def test_sparten_run_model_keeps_constructor_sparsity(
+        self, small_resnet_weights, small_vit_weights
+    ):
+        spec = get_model("ResNet-50").layers[5]
+        workload = layer_workload(spec)
+        accel = SparTenAccelerator(activation_sparsity=0.5)
+        before = accel.run_layer(workload, small_resnet_weights[spec.name])
+        accel.run_model(get_model("ViT-Small"), small_vit_weights)
+        assert accel.activation_sparsity == 0.5
+        assert accel.run_layer(workload, small_resnet_weights[spec.name]) == before
+
+    def test_sparten_run_model_uses_the_model_sparsity(self, small_vit_weights):
+        model = get_model("ViT-Small")
+        dense = SparTenAccelerator(activation_sparsity=0.0).run_model(
+            model, small_vit_weights
+        )
+        sparse = SparTenAccelerator(activation_sparsity=0.9).run_model(
+            model, small_vit_weights
+        )
+        assert dense.layers == sparse.layers
 
 
 class TestModelLevelOrderings:

@@ -13,16 +13,22 @@ degenerate inputs, using the kept reference implementations
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accelerators import (
+    ArrayConfig,
     BitletAccelerator,
     BitVertAccelerator,
+    BitWaveAccelerator,
     GroupCycleStats,
     PragmaticAccelerator,
+    SparTenAccelerator,
+    StripesAccelerator,
 )
 from repro.core import (
     PruningStrategy,
@@ -31,6 +37,7 @@ from repro.core import (
     memo_disabled,
     memo_stats,
     prune_tensor,
+    stable_digest,
 )
 from repro.core.bitplane import column_ones, int_range, to_bitplanes
 from repro.core.global_pruning import CONSERVATIVE_PRESET, MODERATE_PRESET
@@ -40,6 +47,8 @@ from repro.core.zero_point_shift import (
     zero_point_shift_groups,
     zero_point_shift_groups_reference,
 )
+from repro.eval.benchmarks import BenchmarkSuite
+from repro.eval.experiments import FIGURE16_BITVERT_SWEEP, _compress_model
 from repro.nn.model_zoo import get_model
 from repro.nn.synthetic import synthesize_model
 from repro.quant.ant_datatype import ant_quantize, ant_quantize_reference
@@ -832,3 +841,207 @@ class TestCrossExperimentMemoization:
         stats = memo_stats()["tensors"]
         assert stats["hits"] == 0 and stats["misses"] == 0 and stats["stores"] == 0
         assert get_memo().enabled  # the context manager restored the flag
+
+
+# --------------------------------------------------------------------------- #
+# Whole-model evaluation memo (Accelerator.run_model, _compress_model)
+# --------------------------------------------------------------------------- #
+
+EVAL_CAPS = {"max_channels": 32, "max_reduction": 128}
+
+
+def evaluation_accelerators() -> dict[str, object]:
+    """The Figure 12/13 line-up plus Figure 16's own BitVert and BitWave designs."""
+    accelerators = dict(BenchmarkSuite().accelerators())
+    for label, preset in FIGURE16_BITVERT_SWEEP:
+        accelerators[label] = BitVertAccelerator(preset=preset)
+    accelerators["BitWave (3 cols)"] = BitWaveAccelerator(pruned_columns=3)
+    return accelerators
+
+
+EVALUATION_ACCELERATORS = list(evaluation_accelerators())
+
+COMPRESSION_METHODS = [
+    "bbs_cons", "bbs_mod", "bitwave", "bitwave2", "bitwave4", "ptq4", "ptq5",
+    "ptq6", "microscaling6", "noisyquant6", "ant6", "olive4",
+]
+
+
+@pytest.fixture(scope="module")
+def eval_models():
+    models = {name: get_model(name) for name in ("ResNet-50", "ViT-Small")}
+    return {
+        name: (model, synthesize_model(model, seed=0, **EVAL_CAPS))
+        for name, model in models.items()
+    }
+
+
+def evaluation_misses() -> int:
+    return memo_stats()["evaluations"]["misses"]
+
+
+def assert_fresh_evaluation(accel, model, weights) -> None:
+    """``run_model`` misses the memo and matches a memo-off evaluation."""
+    before = evaluation_misses()
+    result = accel.run_model(model, weights)
+    assert evaluation_misses() == before + 1
+    with memo_disabled():
+        expected = accel.run_model(model, weights)
+    assert dataclasses.asdict(result) == dataclasses.asdict(expected)
+
+
+class TestEvaluationMemo:
+    @pytest.mark.parametrize("accel_name", EVALUATION_ACCELERATORS)
+    @pytest.mark.parametrize("model_name", ["ResNet-50", "ViT-Small"])
+    def test_hit_matches_memo_off(self, eval_models, accel_name, model_name):
+        model, weights = eval_models[model_name]
+        accel = evaluation_accelerators()[accel_name]
+        with memo_disabled():
+            cold = dataclasses.asdict(accel.run_model(model, weights))
+        clear_memo()
+        miss = accel.run_model(model, weights)
+        hit = accel.run_model(model, weights)
+        assert memo_stats()["evaluations"]["hits"] == 1
+        assert dataclasses.asdict(miss) == cold
+        assert dataclasses.asdict(hit) == cold
+        # A fresh instance with the same configuration hits too.
+        again = evaluation_accelerators()[accel_name].run_model(model, weights)
+        assert memo_stats()["evaluations"]["hits"] == 2
+        assert dataclasses.asdict(again) == cold
+
+    def test_every_key_part_misses(self, eval_models):
+        model, weights = eval_models["ResNet-50"]
+        clear_memo()
+        BitVertAccelerator(MODERATE_PRESET).run_model(model, weights)
+        # One constructor field, set at construction or afterwards.
+        assert_fresh_evaluation(BitVertAccelerator(CONSERVATIVE_PRESET), model, weights)
+        assert_fresh_evaluation(
+            BitVertAccelerator(MODERATE_PRESET, min_cycles_per_group=3), model, weights
+        )
+        changed = BitVertAccelerator(MODERATE_PRESET)
+        changed.sub_group = 4
+        assert_fresh_evaluation(changed, model, weights)
+        # The array geometry.
+        assert_fresh_evaluation(
+            BitVertAccelerator(MODERATE_PRESET, array=ArrayConfig(pe_columns=16)),
+            model,
+            weights,
+        )
+        # The design class, with the same attributes.
+        assert_fresh_evaluation(PlaneBitVert(MODERATE_PRESET), model, weights)
+        # The model spec, with the same weights.
+        sparse = dataclasses.replace(model, activation_value_sparsity=0.9)
+        assert_fresh_evaluation(SparTenAccelerator(), model, weights)
+        assert_fresh_evaluation(SparTenAccelerator(), sparse, weights)
+        # The weights: another seed.
+        reseeded = synthesize_model(model, seed=1, **EVAL_CAPS)
+        assert_fresh_evaluation(BitVertAccelerator(MODERATE_PRESET), model, reseeded)
+
+    def test_mutating_a_result_does_not_poison_the_memo(self, eval_models):
+        model, weights = eval_models["ViT-Small"]
+        clear_memo()
+        accel = BitWaveAccelerator()
+        miss = accel.run_model(model, weights)
+        expected = dataclasses.asdict(miss)
+        miss.layers[0].compute_cycles = -1.0
+        miss.layers.pop()
+        hit = accel.run_model(model, weights)
+        assert dataclasses.asdict(hit) == expected
+        hit.layers.clear()
+        hit.accelerator = "poisoned"
+        assert dataclasses.asdict(accel.run_model(model, weights)) == expected
+
+    @pytest.mark.parametrize(
+        "method", COMPRESSION_METHODS + [preset for _, preset in FIGURE16_BITVERT_SWEEP]
+    )
+    def test_compress_model_hit_matches_memo_off(self, eval_models, method):
+        _, weights = eval_models["ResNet-50"]
+        with memo_disabled():
+            cold = dataclasses.asdict(_compress_model(weights, method))
+        clear_memo()
+        miss = _compress_model(weights, method)
+        hit = _compress_model(weights, method)
+        assert memo_stats()["evaluations"]["hits"] == 1
+        assert dataclasses.asdict(miss) == cold
+        assert dataclasses.asdict(hit) == cold
+        hit.mean_kl = -1.0
+        assert dataclasses.asdict(_compress_model(weights, method)) == cold
+
+    def test_compress_model_keys_on_method_group_size_and_weights(self, eval_models):
+        model, weights = eval_models["ResNet-50"]
+        clear_memo()
+        _compress_model(weights, "bitwave")
+        for method, group_size, layers in [
+            ("bitwave2", 32, weights),
+            ("bitwave", 16, weights),
+            ("bitwave", 32, synthesize_model(model, seed=1, **EVAL_CAPS)),
+        ]:
+            before = evaluation_misses()
+            result = _compress_model(layers, method, group_size)
+            assert evaluation_misses() == before + 1
+            with memo_disabled():
+                assert result == _compress_model(layers, method, group_size)
+
+    def test_memo_off_and_clear_cover_evaluations(self, eval_models):
+        model, weights = eval_models["ResNet-50"]
+        clear_memo()
+        with memo_disabled():
+            StripesAccelerator().run_model(model, weights)
+        stats = memo_stats()["evaluations"]
+        assert stats["hits"] == stats["misses"] == stats["stores"] == 0
+        StripesAccelerator().run_model(model, weights)
+        assert memo_stats()["evaluations"]["stores"] == 1
+        clear_memo()
+        assert memo_stats()["evaluations"]["stores"] == 0
+        StripesAccelerator().run_model(model, weights)
+        assert memo_stats()["evaluations"]["misses"] == 1
+
+
+class TestSynthesizedWeightsAreFrozen:
+    def test_arrays_read_only_and_digest_carried(self, eval_models):
+        _, weights = eval_models["ResNet-50"]
+        for layer in weights.values():
+            for array in (layer.int_weights, layer.channel_scores, layer.float_weights):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+            fresh = stable_digest(
+                "LayerWeights", layer.spec, layer.quantized, layer.sample_fraction, layer.repeat
+            )
+            assert layer.digest == fresh
+
+    def test_digest_covers_every_evaluated_field(self, eval_models):
+        _, weights = eval_models["ResNet-50"]
+        layer = next(iter(weights.values()))
+        values = layer.int_weights.copy()
+        values[0, 0] += 1
+        variants = [
+            dataclasses.replace(layer, repeat=layer.repeat + 1),
+            dataclasses.replace(layer, sample_fraction=layer.sample_fraction / 2),
+            dataclasses.replace(
+                layer, quantized=dataclasses.replace(layer.quantized, values=values)
+            ),
+            dataclasses.replace(
+                layer,
+                quantized=dataclasses.replace(
+                    layer.quantized, scales=layer.channel_scores * 2
+                ),
+            ),
+            dataclasses.replace(
+                layer, spec=dataclasses.replace(layer.spec, name=layer.spec.name + "'")
+            ),
+        ]
+        digests = {variant.digest for variant in variants}
+        assert len(digests) == len(variants) and layer.digest not in digests
+
+    def test_memo_hit_model_carries_the_same_digests(self):
+        model = get_model("BERT-MRPC")
+        clear_memo()
+        first = synthesize_model(model, seed=5, **EVAL_CAPS)
+        hit = synthesize_model(model, seed=5, **EVAL_CAPS)
+        assert memo_stats()["models"]["hits"] == 1
+        with memo_disabled():
+            cold = synthesize_model(model, seed=5, **EVAL_CAPS)
+        for name, layer in first.items():
+            assert hit[name].digest == layer.digest == cold[name].digest
+            assert not hit[name].int_weights.flags.writeable
