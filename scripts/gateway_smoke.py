@@ -6,7 +6,8 @@ subprocesses, then proves the control-plane contract end to end:
 
 1. the fleet registers and turns healthy;
 2. the same submission routes to the same node twice, and the second time
-   is answered from that node's result cache (digest affinity);
+   is answered from that node's result cache (digest affinity) — over
+   reused keep-alive connections (``repro_client_connections_total``);
 3. a SIGKILLed node's outstanding jobs are replayed onto the survivor from
    the gateway's replica journal, and every job still finishes;
 4. the gateway's ``/v1/metrics`` scrape passes the metrics-families gate
@@ -136,6 +137,14 @@ def main() -> int:
             if second.get("cache_hit") is not True:
                 failures.append(f"affinity: second submission not a cache hit: {second}")
             print(f"affinity OK: digest {first['digest'][:12]} pinned to {first['node']}")
+            # The gateway runs in this process, so its node clients count
+            # into the scrape: the affinity polls must have reused connections.
+            if check_metrics_families.main([
+                "--url", gateway_url, "--no-default-families",
+                "--require", "repro_client_connections_total",
+                "--require-positive", 'repro_client_connections_total{outcome="reused"}',
+            ]) != 0:
+                failures.append("keep-alive: no client connection was reused")
 
             # Stage 2: SIGKILL the node that owns fresh work; every job must
             # still finish via replica-journal failover onto the survivor.

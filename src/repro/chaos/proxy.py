@@ -27,8 +27,11 @@ Every fault is retryable by :class:`repro.service.client.ServiceClient`
 (resets and truncations are network errors, forced 429/5xx are retryable
 statuses), which is the point: a dispatch through a ChaosProxy must produce
 byte-identical results to a fault-free run.  The proxy handles one request
-per connection (the stdlib client opens a fresh connection per request) and
-counts what it did in :meth:`stats`.
+per connection: every response it relays or fabricates carries
+``Connection: close``, so a keep-alive client opens a fresh connection for
+its next request and each injected reset or truncation lands on a fresh
+connection, where the client counts and retries it.  It counts what it did
+in :meth:`stats`.
 """
 
 from __future__ import annotations
@@ -86,6 +89,16 @@ def _read_http_message(handle, initial_line: bytes | None = None) -> bytes | Non
     return head + body
 
 
+def _with_connection_close(response: bytes) -> bytes:
+    """``response`` with its ``Connection`` header replaced by ``close``."""
+    head, sep, body = response.partition(b"\r\n\r\n")
+    lines = [
+        line for line in head.split(b"\r\n")
+        if not line.lower().startswith(b"connection:")
+    ]
+    return b"\r\n".join([*lines, b"Connection: close"]) + sep + body
+
+
 class _ProxyHandler(socketserver.BaseRequestHandler):
     server: "_ProxyServer"
 
@@ -115,6 +128,7 @@ class _ProxyHandler(socketserver.BaseRequestHandler):
             # same thing a dead node would.
             self._reset()
             return
+        response = _with_connection_close(response)
         if roll("latency"):
             proxy._count("latency")
             time.sleep(proxy.latency_s)

@@ -17,6 +17,13 @@ fails verification is rejected at ingest (counted in
 Replicas live under ``<state>/replicas/<node_id>/journal.jsonl``.  Node ids
 were validated path-safe at registration, but the store re-checks before
 touching the filesystem — defense in depth against a handler bug.
+
+The store keeps one append handle per replica open (a routed submit costs a
+write, not an open and a close) and flushes it after every batch of lines
+under its lock.  Readers take the file size under the same lock and stream
+the lines below it, so they see only whole lines, never hold the lock while
+parsing, and never load a whole replica.  :meth:`ReplicaStore.close` closes
+the handles.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import os
 import re
 import threading
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator, TextIO
 
 from ..service.journal import checksummed_line, verify_checksum
 from ..obs.metrics import get_metrics
@@ -48,6 +55,8 @@ class ReplicaStore:
         self.directory = Path(directory)
         (self.directory / "replicas").mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        #: Open append handle per node id; guarded by ``_lock``.
+        self._handles: dict[str, TextIO] = {}
 
     def _journal_path(self, node_id: str) -> Path:
         if not _NODE_ID_RE.match(node_id):
@@ -58,6 +67,25 @@ class ReplicaStore:
     # Writing
     # ------------------------------------------------------------------ #
 
+    def _write_locked(self, node_id: str, lines: list[str]) -> None:
+        """Append whole lines to a node's replica; callers hold ``_lock``."""
+        handle = self._handles.get(node_id)
+        if handle is None:
+            path = self._journal_path(node_id)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = self._handles[node_id] = path.open("a", encoding="utf-8")
+        for line in lines:
+            handle.write(line + "\n")
+        handle.flush()
+
+    def close(self) -> None:
+        """Close every append handle (a later write reopens its replica)."""
+        with self._lock:
+            handles = list(self._handles.values())
+            self._handles.clear()
+            for handle in handles:
+                handle.close()
+
     def append_lines(self, node_id: str, lines: list[str]) -> dict:
         """Ingest raw journal lines streamed by a node; verify each first.
 
@@ -65,7 +93,7 @@ class ReplicaStore:
         rule before it is written (verbatim) to the node's replica.
         Returns ``{"accepted": n, "rejected": n}``.
         """
-        path = self._journal_path(node_id)
+        self._journal_path(node_id)  # refuse a bad node id before parsing
         accepted: list[str] = []
         rejected = 0
         for raw in lines:
@@ -83,12 +111,7 @@ class ReplicaStore:
                 rejected += 1
         if accepted:
             with self._lock:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                with path.open("a", encoding="utf-8") as handle:
-                    for line in accepted:
-                        handle.write(line + "\n")
-                    handle.flush()
-        if accepted:
+                self._write_locked(node_id, accepted)
             _OBS_LINES.inc(len(accepted), outcome="accepted")
         if rejected:
             _OBS_LINES.inc(rejected, outcome="rejected")
@@ -102,40 +125,85 @@ class ReplicaStore:
         params, digest, ...) — so failover replay reads one uniform shape.
         """
         line = checksummed_line({"event": "submit", **fields})
-        path = self._journal_path(node_id)
         with self._lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
+            self._write_locked(node_id, [line])
         _OBS_LINES.inc(outcome="accepted")
 
     # ------------------------------------------------------------------ #
     # Reading
     # ------------------------------------------------------------------ #
 
-    def _records(self, node_id: str) -> list[dict]:
+    def _records(self, node_id: str) -> Iterator[dict]:
+        """Stream a replica's verified records, oldest first.
+
+        The file size is read under the lock; every byte below it belongs to
+        a whole, flushed line, so the lines are then read one at a time
+        without holding the lock (routed submits keep appending meanwhile)
+        and without loading the whole replica.
+        """
         path = self._journal_path(node_id)
         with self._lock:
-            if not path.exists():
-                return []
-            with path.open(encoding="utf-8") as handle:
-                lines = handle.readlines()
-        records: list[dict] = []
-        for raw in lines:
-            line = raw.strip()
-            if not line:
-                continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
+                size = path.stat().st_size
+            except FileNotFoundError:
+                return
+        with path.open("rb") as handle:
+            for raw in handle:
+                size -= len(raw)
+                if size < 0:
+                    return  # appended after the snapshot (or a torn tail)
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                # Verified at ingest; re-verified here so a corrupted replica
+                # file (torn tail after a gateway crash) degrades to skipping
+                # the bad line, mirroring the primary journal's behaviour.
+                if isinstance(record, dict) and verify_checksum(record):
+                    yield record
+
+    def _fold(
+        self, node_id: str, job_id: str | None = None, keep_finished: bool = True
+    ) -> dict[str, Any]:
+        """Per-job ``{"submit": ..., "finish": ...}`` in first-seen order.
+
+        ``job_id`` folds that one job only.  With ``keep_finished=False`` a
+        finished job's entry shrinks to ``None``, so the fold holds only
+        unfinished work however long the replica is.
+        """
+        merged: dict[str, Any] = {}
+        for record in self._records(node_id):
+            rid = record.get("job_id")
+            event = record.get("event")
+            if not isinstance(rid, str) or (job_id is not None and rid != job_id):
                 continue
-            # Verified at ingest; re-verified here so a corrupted replica
-            # file (torn tail after a gateway crash) degrades to skipping
-            # the bad line, mirroring the primary journal's behaviour.
-            if isinstance(record, dict) and verify_checksum(record):
-                records.append(record)
-        return records
+            entry = merged.get(rid)
+            if rid in merged and entry is None:
+                continue  # finished, and dropped
+            if event == "submit":
+                if entry is None:
+                    merged[rid] = {"submit": record, "finish": None}
+                elif entry["submit"] is None:
+                    entry["submit"] = record
+                else:
+                    # Duplicate submit (gateway-authored + node-streamed):
+                    # keep the first, but carry over a gateway_id so chained
+                    # failover can recover the original gateway job id
+                    # whichever line won the fold.
+                    kept = entry["submit"]
+                    if "gateway_id" not in kept and "gateway_id" in record:
+                        entry["submit"] = {**kept, "gateway_id": record["gateway_id"]}
+            elif event in _FINISH_EVENTS:
+                if not keep_finished:
+                    merged[rid] = None
+                elif entry is None:
+                    merged[rid] = {"submit": None, "finish": record}
+                else:
+                    entry["finish"] = record
+        return merged
 
     def merged(self, node_id: str) -> tuple[list[str], dict[str, dict]]:
         """Fold a replica into per-job ``{"submit": ..., "finish": ...}``.
@@ -145,51 +213,20 @@ class ReplicaStore:
         the node's own streamed submit line arrive independently, and the
         job is finished once either stream says so.
         """
-        merged: dict[str, dict] = {}
-        order: list[str] = []
-        for record in self._records(node_id):
-            job_id = record.get("job_id")
-            event = record.get("event")
-            if not isinstance(job_id, str):
-                continue
-            if event == "submit":
-                if job_id not in merged:
-                    order.append(job_id)
-                    merged[job_id] = {"submit": record, "finish": None}
-                elif merged[job_id]["submit"] is None:
-                    merged[job_id]["submit"] = record
-                else:
-                    # Duplicate submit (gateway-authored + node-streamed):
-                    # keep the first, but carry over a gateway_id so chained
-                    # failover can recover the original gateway job id
-                    # whichever line won the fold.
-                    kept = merged[job_id]["submit"]
-                    if "gateway_id" not in kept and "gateway_id" in record:
-                        kept = dict(kept)
-                        kept["gateway_id"] = record["gateway_id"]
-                        merged[job_id]["submit"] = kept
-            elif event in _FINISH_EVENTS:
-                if job_id not in merged:
-                    order.append(job_id)
-                    merged[job_id] = {"submit": None, "finish": record}
-                else:
-                    merged[job_id]["finish"] = record
-        return order, merged
+        merged = self._fold(node_id)
+        return list(merged), merged
 
     def unfinished(self, node_id: str) -> list[dict]:
         """Submit records with no finish line — the set failover replays."""
-        order, merged = self.merged(node_id)
         return [
-            merged[job_id]["submit"]
-            for job_id in order
-            if merged[job_id]["finish"] is None
-            and isinstance(merged[job_id]["submit"], dict)
+            entry["submit"]
+            for entry in self._fold(node_id, keep_finished=False).values()
+            if entry is not None and isinstance(entry["submit"], dict)
         ]
 
     def job_view(self, node_id: str, job_id: str) -> dict | None:
         """The replica's view of one job (``{"submit", "finish"}``) or None."""
-        _, merged = self.merged(node_id)
-        return merged.get(job_id)
+        return self._fold(node_id, job_id=job_id).get(job_id)
 
     def node_ids(self) -> list[str]:
         root = self.directory / "replicas"

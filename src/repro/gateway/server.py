@@ -401,6 +401,7 @@ class GatewayServer(HTTPServerBase):
         self._stop.set()
         self.stop_listening()
         self._sweeper.join(timeout=5.0)
+        self.replicas.close()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
 

@@ -451,6 +451,13 @@ def declare_standard_families(registry: MetricsRegistry) -> None:
         ("reason",),
     )
     registry.counter(
+        "repro_client_connections_total",
+        "ServiceClient keep-alive connections, by outcome (opened: a new "
+        "connection; reused: a request answered on an open one; stale: an "
+        "open one the server had closed, reopened and the request re-sent).",
+        ("outcome",),
+    )
+    registry.counter(
         "repro_client_reconciliations_total",
         "Retried submits resolved by digest lookup instead of re-posting "
         "(double-submit prevention).",

@@ -256,12 +256,18 @@ class TraceBuffer:
 
 
 class TraceLog:
-    """Append-only JSONL span log (one file, best-effort, like the journal)."""
+    """Append-only JSONL span log (one file, best-effort, like the journal).
+
+    One append handle stays open, flushed after every line under the log's
+    lock, so :meth:`read` (which takes the lock too) sees whole lines.
+    :meth:`close` closes it; a later span reopens it.
+    """
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        self._handle = None
         self.write_errors = 0
         self.read_errors = 0
 
@@ -273,25 +279,38 @@ class TraceLog:
             return
         with self._lock:
             try:
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
+                if self._handle is None:
+                    self._handle = self.path.open("a", encoding="utf-8")
+                self._handle.write(line + "\n")
+                self._handle.flush()
             except OSError:
                 self.write_errors += 1
 
+    def close(self) -> None:
+        with self._lock:
+            handle, self._handle = self._handle, None
+            if handle is not None:
+                try:
+                    handle.close()
+                except OSError:
+                    self.write_errors += 1
+
     def read(self) -> list[dict]:
         """Parse the log, skipping lines torn by a crash."""
-        if not self.path.exists():
-            return []
+        with self._lock:
+            if not self.path.exists():
+                return []
+            with self.path.open("r", encoding="utf-8") as fh:
+                lines = fh.readlines()
         records = []
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    self.read_errors += 1
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError:
+                self.read_errors += 1
         return records
 
 

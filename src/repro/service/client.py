@@ -1,8 +1,8 @@
 """Stdlib HTTP client for the repro service, with retries and typed errors.
 
-A thin, dependency-free wrapper over :mod:`urllib` that turns the service's
-JSON API into Python calls and its failure modes into a small exception
-taxonomy:
+A thin, dependency-free wrapper over :mod:`http.client` that turns the
+service's JSON API into Python calls and its failure modes into a small
+exception taxonomy:
 
 * :class:`ServiceRequestError` — the service answered with a non-retryable
   4xx (bad submission, unknown job, cancel conflict); carries the status and
@@ -22,6 +22,14 @@ taxonomy:
   (:meth:`ServiceClient.run_job`) when the remote job itself failed; carries
   the job record with the remote traceback.
 
+Requests ride a keep-alive connection, one per client and thread (the
+gateway shares one client per node across its handler threads).  A server
+may close an idle connection at any time, so when a *reused* connection
+fails before any response byte arrives, the request is re-sent once on a
+fresh connection; that re-send is neither a retry nor a breaker failure.
+Every other failure — on a fresh connection, or after response bytes (a
+truncated body) — takes the retry, breaker and reconcile path below.
+
 The campaign dispatcher (:mod:`repro.campaign.dispatch`) is built entirely on
 this client; ``examples/service_client.py`` shows interactive use.
 """
@@ -31,11 +39,10 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import sys
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from typing import Any, Callable
 
 from ..chaos.plan import maybe_fail
@@ -114,6 +121,34 @@ _RETRYABLE_STATUSES = frozenset({429, 502, 503, 504})
 _RETRIES_TOTAL = get_metrics().get("repro_client_retries_total")
 _BREAKER_TRANSITIONS = get_metrics().get("repro_breaker_transitions_total")
 _RECONCILES_TOTAL = get_metrics().get("repro_client_reconciliations_total")
+_CONNECTIONS_TOTAL = get_metrics().get("repro_client_connections_total")
+
+
+def _intern_keys(pairs: list[tuple[str, Any]]) -> dict:
+    return {sys.intern(key): value for key, value in pairs}
+
+
+#: Decodes response bodies with every object key interned, so a caller that
+#: keeps many records (a dispatcher's cells, a poller's history) holds one
+#: copy of each key name rather than one per record: about half the memory
+#: of a job record.
+_decode_json = json.JSONDecoder(object_pairs_hook=_intern_keys).decode
+
+class _HTTPConnection(http.client.HTTPConnection):
+    """A kept connection, closed when dropped: its thread or client is gone."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
+class _HTTPSConnection(http.client.HTTPSConnection):
+    __del__ = _HTTPConnection.__del__
+
+
+#: What a reused connection raises when the server had already closed it:
+#: a reset or broken pipe on send, or ``RemoteDisconnected`` (a
+#: ``ConnectionResetError``) when the status line never arrives.
+_STALE_ERRORS = (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)
 
 
 def _retry_reason(cause: str) -> str:
@@ -254,6 +289,16 @@ class ServiceClient:
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.base_url = base_url.rstrip("/")
+        split = urllib.parse.urlsplit(self.base_url)
+        if split.scheme not in ("http", "https") or not split.hostname:
+            raise ValueError(f"base_url must be an http(s) URL, got {base_url!r}")
+        self._connection_class = (
+            _HTTPSConnection if split.scheme == "https" else _HTTPConnection
+        )
+        self._address = (split.hostname, split.port)
+        self._prefix = split.path
+        #: This thread's keep-alive connection (``.conn``).
+        self._local = threading.local()
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -326,16 +371,20 @@ class ServiceClient:
                         return resolved
             try:
                 maybe_fail("client.request")
-                request = urllib.request.Request(url, data=data, headers=headers, method=method)
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    body = json.loads(response.read())
-                self.breaker.record_success()
-                return body
-            except urllib.error.HTTPError as error:
-                status = error.code
+                response, raw = self._exchange(method, path, data, headers)
+            except (http.client.HTTPException, OSError) as error:
+                # Refused, reset, timed out, or cut short mid-response
+                # (IncompleteRead: what a truncated — chaos-proxied or
+                # crashed — peer produces).
+                self.breaker.record_failure()
+                last_cause = str(error) or type(error).__name__
+                self._count_retry(last_cause, attempt, attempts)
+                continue
+            status = response.status
+            if status >= 400:
                 try:
-                    body = json.loads(error.read())
-                except (json.JSONDecodeError, OSError):
+                    body = _decode_json(raw.decode("utf-8"))
+                except ValueError:
                     body = None
                 if status >= 500:
                     self.breaker.record_failure()
@@ -344,32 +393,61 @@ class ServiceClient:
                     self.breaker.record_success()
                 if status in _RETRYABLE_STATUSES:
                     last_cause = f"HTTP {status}"
-                    retry_hint = _retry_after_hint(error, body)
+                    retry_hint = _retry_after_hint(response, body)
                     self._count_retry(last_cause, attempt, attempts)
                     continue
-                raise ServiceRequestError(status, body, url) from None
-            except (
-                urllib.error.URLError,
-                http.client.HTTPException,
-                ConnectionError,
-                TimeoutError,
-                OSError,
-            ) as error:
-                # http.client.HTTPException covers mid-response faults the
-                # URLError wrapper misses — above all IncompleteRead, what a
-                # truncated (chaos-proxied or crashed) peer produces.
-                self.breaker.record_failure()
-                last_cause = str(getattr(error, "reason", None) or error)
-                self._count_retry(last_cause, attempt, attempts)
-                continue
-            except json.JSONDecodeError as error:
+                raise ServiceRequestError(status, body, url)
+            try:
+                body = _decode_json(raw.decode("utf-8"))
+            except ValueError as error:
                 self.breaker.record_failure()
                 last_cause = f"non-JSON response: {error}"
                 self._count_retry(last_cause, attempt, attempts)
                 continue
+            self.breaker.record_success()
+            return body
         raise ServiceUnavailable(
             url, attempts, last_cause, saturated=last_cause == "HTTP 429"
         )
+
+    def _exchange(
+        self, method: str, path: str, data: bytes | None, headers: dict
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request on this thread's keep-alive connection.
+
+        Returns the response (status and headers) and its whole body.  A
+        reused connection that fails before any response byte arrives was
+        closed by the server while idle: it is reopened and the request
+        sent once more.  Any exception leaves the connection closed, so the
+        next attempt starts on a fresh one.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            host, port = self._address
+            conn = self._local.conn = self._connection_class(
+                host, port, timeout=self.timeout
+            )
+        target = self._prefix + path
+        try:
+            response = None
+            if conn.sock is not None:
+                try:
+                    conn.request(method, target, body=data, headers=headers)
+                    response = conn.getresponse()
+                except _STALE_ERRORS:
+                    conn.close()
+                    _CONNECTIONS_TOTAL.inc(outcome="stale")
+                else:
+                    _CONNECTIONS_TOTAL.inc(outcome="reused")
+            if response is None:
+                conn.connect()
+                _CONNECTIONS_TOTAL.inc(outcome="opened")
+                conn.request(method, target, body=data, headers=headers)
+                response = conn.getresponse()
+            return response, response.read()
+        except BaseException:
+            conn.close()
+            raise
 
     def _count_retry(self, cause: str, attempt: int, attempts: int) -> None:
         """Count a transient failure that another attempt will follow."""
@@ -413,21 +491,13 @@ class ServiceClient:
         if format == "json":
             return self.request("GET", "/v1/metrics?format=json")
         url = self.base_url + "/v1/metrics"
-        request = urllib.request.Request(url, method="GET")
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as error:
-            raise ServiceRequestError(error.code, None, url) from None
-        except (
-            urllib.error.URLError,
-            http.client.HTTPException,
-            ConnectionError,
-            TimeoutError,
-            OSError,
-        ) as error:
-            cause = str(getattr(error, "reason", None) or error)
-            raise ServiceUnavailable(url, 1, cause) from None
+            response, raw = self._exchange("GET", "/v1/metrics", None, {})
+        except (http.client.HTTPException, OSError) as error:
+            raise ServiceUnavailable(url, 1, str(error) or type(error).__name__) from None
+        if response.status >= 400:
+            raise ServiceRequestError(response.status, None, url)
+        return raw.decode("utf-8")
 
     def job_trace(self, job_id: str) -> dict:
         """``GET /v1/jobs/<id>/trace`` — the job's span tree (see repro.obs)."""
@@ -654,8 +724,10 @@ class ServiceClient:
         return self.result(record["job_id"])["result"]
 
 
-def _retry_after_hint(error: urllib.error.HTTPError, body: dict | None) -> float | None:
+def _retry_after_hint(response, body: dict | None) -> float | None:
     """Extract the server's retry hint from a 429/503 answer, if any.
+
+    ``response`` is anything carrying the answer's ``headers``.
 
     The JSON body's ``retry_after`` (float seconds) is preferred over the
     coarser integer ``Retry-After`` header.  Hints are clamped to [0, 30] —
@@ -668,7 +740,7 @@ def _retry_after_hint(error: urllib.error.HTTPError, body: dict | None) -> float
         if isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0:
             hint = float(value)
     if hint is None:
-        header = error.headers.get("Retry-After") if error.headers else None
+        header = response.headers.get("Retry-After") if response.headers else None
         if header is not None:
             try:
                 hint = float(header)

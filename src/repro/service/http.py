@@ -20,12 +20,22 @@ response or a deliberately closed connection.  Client errors raise
 Every POST body is drained before routing, so a keep-alive connection stays
 usable even after a 404.  An unmatched method and path answers 404 ``no such
 endpoint``.  Responses are strict JSON (no NaN), UTF-8 encoded.
+
+Connections are persistent (HTTP/1.1 keep-alive).  Nagle's algorithm is off
+on every accepted socket: a response leaves as a header write and a body
+write, and on a persistent connection Nagle holds the body back until the
+peer's delayed ACK for the headers, ~40 ms per response.  An idle connection
+is closed after :attr:`HTTPServerBase.keepalive_timeout_s`, and
+:meth:`HTTPServerBase.stop_listening` retires the open ones, so a server
+that stopped listening stops answering on connections it already had.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import socket
+import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -180,6 +190,7 @@ class HTTPHandler(BaseHTTPRequestHandler):
 
     server: "HTTPServerBase"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     #: Name of the span each request runs in.
     span_name = "http.request"
     #: Prefix of the last-resort 500's error message.
@@ -232,6 +243,8 @@ class HTTPHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
+        if self.server.stopped:
+            self.close_connection = True  # answered, but the last on this connection
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
@@ -278,7 +291,14 @@ class HTTPHandler(BaseHTTPRequestHandler):
         the caller's trace when the request carried an ``X-Repro-Trace``
         header, freshly minted otherwise — so jobs submitted by the route
         become its children.
+
+        A server that has stopped listening drops the request unanswered:
+        the client sees the connection close, as it would on a stopped
+        process, and the request had no effect.
         """
+        if self.server.stopped:
+            self.close_connection = True
+            return
         self.url = urlsplit(self.path)
         parts = [part for part in self.url.path.split("/") if part]
         self.route, params = None, []
@@ -410,6 +430,10 @@ class HTTPServerBase(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    #: Seconds a keep-alive connection may sit idle before the server closes
+    #: it, so idle clients do not pin handler threads.  Clients reopen a
+    #: connection the server closed (see ``repro.service.client``).
+    keepalive_timeout_s = 30.0
 
     def __init__(
         self, address: tuple[str, int], handler_class: type[HTTPHandler], verbose: bool
@@ -419,7 +443,12 @@ class HTTPServerBase(ThreadingHTTPServer):
         #: Set by :meth:`begin_drain`; ``GET /v1/readyz`` then answers 503.
         self.draining = False
         self.started_at = time.time()
+        #: Set by :meth:`stop_listening`; requests still arriving on open
+        #: connections are then dropped unanswered.
+        self.stopped = False
         self._serving = False
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
 
     @property
     def port(self) -> int:
@@ -432,13 +461,38 @@ class HTTPServerBase(ThreadingHTTPServer):
         finally:
             self._serving = False
 
+    def process_request(self, request: socket.socket, client_address) -> None:
+        request.settimeout(self.keepalive_timeout_s)
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
     def stop_listening(self) -> None:
+        """Close the listener and retire every open connection.
+
+        Idle connections see end-of-file at once and close; a request
+        already being served is still answered.  Requests that arrive
+        afterwards are dropped unanswered (see :meth:`HTTPHandler._handle`).
+        """
+        self.stopped = True
         # BaseServer.shutdown() waits on an event that only serve_forever()
         # sets on exit; calling it on a server that never served (e.g. the
         # CLI's failed-registration path) would block forever.
         if self._serving:
             self.shutdown()
         self.server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its handler
 
     def begin_drain(self) -> None:
         """Flip ``GET /v1/readyz`` to 503 ahead of a graceful shutdown.

@@ -4,7 +4,9 @@ A :class:`Job` tracks one submitted request through its lifecycle
 (``queued -> running -> done | failed``) with wall-clock timestamps for the
 API and monotonic (``time.perf_counter``) durations for the timing stats.
 Completion is signalled through a ``threading.Event`` so HTTP handlers and
-tests can block on a job without polling.
+tests can block on a job without polling.  The event (and the cancel event)
+is created on first use: a cache hit is born done, and most born-done jobs
+are never waited on, so they never pay for one.
 """
 
 from __future__ import annotations
@@ -62,20 +64,34 @@ class Job:
     #: Wall-clock budget from submission; expired jobs become
     #: ``FAILED: deadline`` (enforced by the worker pool's deadline timers).
     deadline_s: float | None = None
-    #: Set when the job is cancelled or its deadline expires; long-running
-    #: cooperative job bodies poll it (``repro.service.workers.job_cancelled``)
-    #: to stop early instead of computing a result nobody will read.
-    cancel_event: threading.Event = field(
-        default_factory=threading.Event, repr=False, compare=False
-    )
     _submitted_pc: float = field(default_factory=time.perf_counter, repr=False, compare=False)
     _started_pc: float | None = field(default=None, repr=False, compare=False)
-    _done_event: threading.Event = field(
-        default_factory=threading.Event, repr=False, compare=False
-    )
+    #: Both events are created lazily under ``_transition_lock`` (see
+    #: :attr:`cancel_event` and :meth:`wait`).
+    _cancel_event: threading.Event | None = field(default=None, repr=False, compare=False)
+    _done_event: threading.Event | None = field(default=None, repr=False, compare=False)
     _transition_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+
+    @property
+    def cancel_event(self) -> threading.Event:
+        """Set when the job is cancelled or its deadline expires.
+
+        Long-running cooperative job bodies poll it (through
+        ``repro.service.workers.job_cancelled``) to stop early instead of
+        computing a result nobody will read.
+        """
+        with self._transition_lock:
+            if self._cancel_event is None:
+                self._cancel_event = threading.Event()
+            return self._cancel_event
+
+    @property
+    def cancel_requested(self) -> bool:
+        """Whether :attr:`cancel_event` is set, without creating it."""
+        event = self._cancel_event
+        return event is not None and event.is_set()
 
     # ------------------------------------------------------------------ #
     # Lifecycle transitions (called by the worker pool)
@@ -144,7 +160,8 @@ class Job:
             # Cache hits never enter RUNNING: they finish at submit time.
             self.queue_seconds = 0.0
             self.run_seconds = now_pc - self._submitted_pc
-        self._done_event.set()
+        if self._done_event is not None:
+            self._done_event.set()
 
     # ------------------------------------------------------------------ #
     # Observation
@@ -152,7 +169,13 @@ class Job:
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the job finishes; ``False`` on timeout."""
-        return self._done_event.wait(timeout)
+        with self._transition_lock:
+            if self.state.finished:
+                return True
+            if self._done_event is None:
+                self._done_event = threading.Event()
+            event = self._done_event
+        return event.wait(timeout)
 
     def to_dict(self, include_result: bool = False) -> dict:
         """JSON-serializable view; the (possibly large) result is opt-in."""
@@ -227,12 +250,22 @@ class JobStore:
             return job
 
     def _evict_finished(self) -> None:
+        """Make room for one more job: drop the oldest finished ones.
+
+        Walks the jobs in submission order and stops at the ``overflow``-th
+        finished one, so the cost is the in-flight jobs ahead of it plus
+        one, not the whole history.
+        """
         overflow = len(self._jobs) + 1 - self.max_finished
         if overflow <= 0:
             return
-        for job_id in [
-            job.job_id for job in self._jobs.values() if job.state.finished
-        ][:overflow]:
+        doomed: list[str] = []
+        for job_id, job in self._jobs.items():
+            if job.state.finished:
+                doomed.append(job_id)
+                if len(doomed) == overflow:
+                    break
+        for job_id in doomed:
             del self._jobs[job_id]
 
     def get(self, job_id: str) -> Job | None:

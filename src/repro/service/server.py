@@ -522,6 +522,7 @@ class ReproServer(HTTPServerBase):
             self.journal.close()
         if self.trace_log is not None:
             self.recorder.remove_sink(self.trace_log)
+            self.trace_log.close()
 
     def graceful_close(self) -> dict:
         """SIGTERM path: drain what is running, requeue-by-journal the rest.
@@ -544,6 +545,7 @@ class ReproServer(HTTPServerBase):
             self.journal.close()
         if self.trace_log is not None:
             self.recorder.remove_sink(self.trace_log)
+            self.trace_log.close()
         return {
             "inflight": inflight,
             "drained": max(inflight - requeued, 0),

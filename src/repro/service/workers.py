@@ -94,7 +94,7 @@ def job_cancelled() -> bool:
     worker thread it is always ``False``.
     """
     job = _CURRENT_JOB.get()
-    return job is not None and job.cancel_event.is_set()
+    return job is not None and job.cancel_requested
 
 
 class QueueFullError(RuntimeError):
@@ -514,7 +514,7 @@ class WorkerPool:
         _JOBS_TOTAL.inc(scenario=job.job_type, event=event)
 
     def _execute(self, job: Job) -> None:
-        if job.state.finished or job.cancel_event.is_set():
+        if job.state.finished or job.cancel_requested:
             # The deadline expired (or a cancel landed) while this sat in the
             # executor queue faster than future.cancel() could stop it; the
             # expirer owns the bookkeeping.

@@ -29,6 +29,7 @@ from repro.chaos import (
     maybe_fail,
 )
 from repro.obs.metrics import get_metrics
+from repro.service.client import ServiceClient
 
 
 @pytest.fixture(autouse=True)
@@ -250,6 +251,24 @@ class TestChaosProxy:
             assert time.perf_counter() - start >= 0.08
             assert proxy.stats()["counts"]["latency"] >= 1
 
+    def test_relayed_responses_close_the_connection(self, upstream):
+        """One request per proxied connection, even for keep-alive clients:
+        each injected fault then lands on a fresh connection."""
+        with ChaosProxy(upstream_port=upstream) as proxy:
+            conn = http.client.HTTPConnection("127.0.0.1", proxy.port, timeout=10)
+            try:
+                conn.request("GET", "/health")
+                response = conn.getresponse()
+                assert response.getheader("Connection") == "close"
+                assert json.loads(response.read()) == {"ok": True, "path": "/health"}
+            finally:
+                conn.close()
+            client = ServiceClient(proxy.url, retries=0)
+            for _ in range(3):
+                assert client.request("GET", "/health")["ok"] is True
+            assert client.retry_stats()["total"] == 0
+            assert proxy.stats()["counts"] == {"forwarded": 4}
+
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError, match="reset_p"):
             ChaosProxy(upstream_port=80, reset_p=1.5)
@@ -278,7 +297,6 @@ class TestChaosDispatchEndToEnd:
         from repro.campaign import parse_spec
         from repro.campaign.dispatch import CampaignDispatcher
         from repro.service import create_server
-        from repro.service.client import ServiceClient
 
         servers, proxies, threads = [], [], []
         for index in range(2):

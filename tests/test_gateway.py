@@ -315,6 +315,57 @@ class TestReplicaStore:
         (record,) = store.unfinished("node-b")
         assert record["gateway_id"] == "j1@node-a"
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_streaming_fold_matches_whole_file_fold(self, tmp_path, seed):
+        """merged/unfinished/job_view agree with folding the fully loaded
+        record list, over random interleavings of submits (some duplicated,
+        some carrying a gateway_id), finishes and corrupt lines."""
+        import random
+
+        rng = random.Random(seed)
+        store = ReplicaStore(tmp_path)
+        lines: list[str] = []
+        for step in range(150):
+            job_id = f"j{rng.randrange(25)}"
+            event = rng.choice(["submit", "submit", "done", "failed", "cancelled"])
+            fields = {"event": event, "job_id": job_id, "step": step}
+            if event == "submit" and rng.random() < 0.3:
+                fields["gateway_id"] = f"g{step}"
+            lines.append(checksummed_line(fields))
+            if rng.random() < 0.05:
+                lines.append('{"torn": ')
+        for start in range(0, len(lines), 7):
+            store.append_lines("node-a", lines[start:start + 7])
+
+        def whole_file_fold():
+            merged: dict[str, dict] = {}
+            for raw in lines:
+                try:
+                    record = json.loads(raw)
+                except json.JSONDecodeError:
+                    continue
+                record.pop("crc32", None)
+                job_id, event = record["job_id"], record["event"]
+                entry = merged.setdefault(job_id, {"submit": None, "finish": None})
+                if event == "submit":
+                    if entry["submit"] is None:
+                        entry["submit"] = record
+                    elif "gateway_id" not in entry["submit"] and "gateway_id" in record:
+                        entry["submit"] = {**entry["submit"], "gateway_id": record["gateway_id"]}
+                else:
+                    entry["finish"] = record
+            return merged
+
+        expected = whole_file_fold()
+        order, merged = store.merged("node-a")
+        assert order == list(expected) and merged == expected
+        assert store.unfinished("node-a") == [
+            entry["submit"] for entry in expected.values()
+            if entry["finish"] is None and entry["submit"] is not None
+        ]
+        for job_id in [*expected, "never-seen"]:
+            assert store.job_view("node-a", job_id) == expected.get(job_id)
+
     def test_path_traversal_node_ids_refused(self, tmp_path):
         store = ReplicaStore(tmp_path)
         with pytest.raises(ValueError, match="invalid node id"):
@@ -933,7 +984,6 @@ class TestSubmitReconciliation:
         without a second POST.
         """
         import http.client
-        import urllib.request
 
         server = create_server(port=0, max_workers=1)
         threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -941,26 +991,26 @@ class TestSubmitReconciliation:
         try:
             client = ServiceClient(url, timeout=10.0, retries=2, backoff=0.01)
             posts = {"count": 0}
-            original_urlopen = urllib.request.urlopen
+            original_getresponse = http.client.HTTPConnection.getresponse
 
-            def flaky_urlopen(request, timeout=None):
-                if getattr(request, "method", None) == "POST" and request.selector.startswith(
-                    "/v1/jobs"
-                ):
+            def flaky_getresponse(conn):
+                response = original_getresponse(conn)
+                # Only this test's client POSTs to this node: the submit.
+                if conn.port == server.port and conn._method == "POST":
                     posts["count"] += 1
                     if posts["count"] == 1:
-                        # Deliver the POST, then lose the response.
-                        original_urlopen(request, timeout=timeout).close()
+                        # The POST was delivered; lose the response.
+                        response.read()
                         raise http.client.IncompleteRead(b"")
-                return original_urlopen(request, timeout=timeout)
+                return response
 
-            urllib.request.urlopen = flaky_urlopen
+            http.client.HTTPConnection.getresponse = flaky_getresponse
             try:
                 record = client.submit(
                     "quantize_tensor", {"rows": 16, "cols": 32, "seed": 31}
                 )
             finally:
-                urllib.request.urlopen = original_urlopen
+                http.client.HTTPConnection.getresponse = original_getresponse
             assert posts["count"] == 1, "retry re-POSTed despite the job landing"
             assert client.reconciliations == 1
             assert record["state"] in ("queued", "running", "done")

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import http.client
 import threading
+import time
 
 import pytest
 
+from repro.obs.metrics import get_metrics
 from repro.service import ResultCache, create_server
 from repro.service.client import (
     JobFailedError,
@@ -91,3 +94,163 @@ class TestErrorTaxonomy:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="retries"):
             ServiceClient("http://x", retries=-1)
+
+
+@pytest.fixture()
+def own_server():
+    """A node of its own, for tests that close it or reach into its sockets."""
+    server = create_server(port=0, registry=build_registry(),
+                           cache=ResultCache(max_entries=32), max_workers=1)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.close()
+    thread.join(timeout=10)
+
+
+@pytest.fixture()
+def connects(monkeypatch):
+    """Count ``HTTPConnection.connect`` calls, per port."""
+    counts: dict[int, int] = {}
+    original = http.client.HTTPConnection.connect
+
+    def counting(conn):
+        counts[conn.port] = counts.get(conn.port, 0) + 1
+        return original(conn)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    return counts
+
+
+def _connections(outcome: str) -> float:
+    family = get_metrics().get("repro_client_connections_total")
+    return family.value(outcome=outcome)
+
+
+def _wait_until(predicate, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
+
+
+class TestKeepAlive:
+    def test_requests_reuse_one_connection(self, server, connects):
+        client = ServiceClient(f"http://127.0.0.1:{server.port}", retries=0)
+        reused = _connections("reused")
+        for value in range(10):
+            client.submit("echo", {"value": value}, wait=10)
+            client.health()
+        client.metrics()  # the text scrape rides the same connection
+        assert connects[server.port] == 1
+        assert _connections("reused") - reused >= 20
+        assert client.retry_stats()["total"] == 0
+
+    def test_each_thread_gets_its_own_connection(self, server, connects):
+        client = ServiceClient(f"http://127.0.0.1:{server.port}", retries=0)
+        errors: list[BaseException] = []
+
+        def work():
+            try:
+                for _ in range(5):
+                    client.health()
+            except BaseException as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=work) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert errors == []
+        assert connects[server.port] == 3
+
+    def test_server_closed_idle_connection_is_reopened(self, own_server, connects):
+        own_server.keepalive_timeout_s = 0.1
+        client = ServiceClient(f"http://127.0.0.1:{own_server.port}", retries=0)
+        assert client.health()["status"] == "ok"
+        # The server times the idle connection out and closes its end.
+        assert _wait_until(lambda: not own_server._connections)
+        stale = _connections("stale")
+        assert client.health()["status"] == "ok"
+        assert _connections("stale") - stale == 1
+        assert connects[own_server.port] == 2
+        assert client.retry_stats()["total"] == 0
+        assert client.breaker.stats()["consecutive_failures"] == 0
+
+    def test_truncated_response_on_reused_connection_is_reconciled(
+        self, own_server, monkeypatch
+    ):
+        """A body cut short on a reused connection is not a stale connection:
+        the POST was served, so the retry reconciles instead of re-posting."""
+        from repro.service.server import NodeHandler
+
+        original = NodeHandler.send_body
+        posts = {"count": 0}
+
+        def truncating(handler, status, body, content_type, extra_headers=None):
+            if handler.server is not own_server or handler.command != "POST":
+                return original(handler, status, body, content_type, extra_headers)
+            posts["count"] += 1
+            if posts["count"] > 1:
+                return original(handler, status, body, content_type, extra_headers)
+            handler._observed_status = status
+            handler.send_response(status)
+            handler.send_header("Content-Type", content_type)
+            handler.send_header("Content-Length", str(len(body)))
+            handler.end_headers()
+            handler.wfile.write(body[: len(body) // 2])
+            handler.close_connection = True
+
+        monkeypatch.setattr(NodeHandler, "send_body", truncating)
+        client = ServiceClient(
+            f"http://127.0.0.1:{own_server.port}", retries=2, backoff=0.01
+        )
+        client.health()  # the submit below goes out on a reused connection
+        reused = _connections("reused")
+        record = client.submit("echo", {"value": 41}, wait=10)
+        assert _connections("reused") - reused >= 1
+        assert posts["count"] == 1, "the truncated submit was re-POSTed"
+        assert client.reconciliations == 1
+        assert client.retry_stats()["total"] == 1
+        assert record["state"] == "done"
+        assert client.jobs(digest=record["digest"])["total"] == 1
+
+    def test_closed_server_refuses_requests_on_open_connections(self, own_server):
+        conn = http.client.HTTPConnection("127.0.0.1", own_server.port, timeout=10)
+        try:
+            conn.request("GET", "/v1/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()
+            client = ServiceClient(f"http://127.0.0.1:{own_server.port}", retries=0)
+            client.health()
+            own_server.close()
+            with pytest.raises((http.client.HTTPException, OSError)):
+                conn.request("GET", "/v1/healthz")
+                conn.getresponse()
+            with pytest.raises(ServiceUnavailable):
+                client.health()
+            # The handler threads of the open connections are gone too.
+            assert _wait_until(lambda: not own_server._connections)
+        finally:
+            conn.close()
+
+    def test_request_in_flight_at_close_is_still_answered(self, own_server):
+        registry = own_server.registry
+        client = ServiceClient(f"http://127.0.0.1:{own_server.port}", retries=0)
+        results: list = []
+        waiter = threading.Thread(
+            target=lambda: results.append(client.submit("slow", {"value": 5}, wait=30))
+        )
+        waiter.start()
+        assert registry.started.wait(10)
+        closer = threading.Thread(target=own_server.close)
+        closer.start()
+        assert _wait_until(lambda: own_server.stopped)
+        registry.gate.set()
+        waiter.join(timeout=30)
+        closer.join(timeout=30)
+        assert results and results[0]["state"] == "done"

@@ -252,6 +252,92 @@ class TestJobStoreBounds:
         with pytest.raises(ValueError):
             JobStore(max_finished=0)
 
+    @pytest.mark.parametrize("max_finished", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_eviction_matches_full_rescan(self, max_finished, seed):
+        """Same survivors, same order as rescanning every job on each add:
+        oldest finished evicted first, in-flight jobs (here also a few held
+        unfinished at the front) never."""
+        import random
+
+        from repro.service import JobStore
+
+        rng = random.Random(seed)
+        store = JobStore(max_finished=max_finished)
+        oracle: dict = {}
+        finish_p = rng.choice([0.1, 0.4, 0.9])
+        held: set[str] = set()
+        for step in range(120):
+            overflow = len(oracle) + 1 - max_finished
+            if overflow > 0:
+                for job_id in [
+                    job.job_id for job in oracle.values() if job.state.finished
+                ][:overflow]:
+                    del oracle[job_id]
+            if rng.random() < 0.3:
+                job = store.restore(f"replayed-{step}", "echo", {}, f"d{step}")
+            else:
+                job = store.create("echo", {}, f"d{step}")
+            oracle[job.job_id] = job
+            if step < 3:
+                held.add(job.job_id)  # in flight at the front until step 80
+            for candidate in list(oracle.values()):
+                if candidate.state is JobState.QUEUED and rng.random() < 0.5:
+                    candidate.mark_running()
+                if candidate.state.finished or rng.random() >= finish_p:
+                    continue
+                if candidate.job_id in held and step < 80:
+                    continue
+                rng.choice([
+                    lambda: candidate.mark_done({}),
+                    lambda: candidate.mark_failed("boom"),
+                    lambda: candidate.mark_cancelled(),
+                ])()
+            assert [job.job_id for job in store.jobs()] == list(oracle)
+
+
+class TestLazyEvents:
+    def test_cache_hit_job_allocates_no_event(self, pool):
+        pool.run("echo", {"value": 21}, timeout=10)
+        hit = pool.submit("echo", {"value": 21})
+        assert hit.cache_hit and hit.state is JobState.DONE
+        assert hit.wait(0) is True
+        assert hit._done_event is None and hit._cancel_event is None
+
+    def test_wait_blocks_until_finished_from_another_thread(self, pool, registry):
+        job = pool.submit("slow", {"value": 22})
+        assert registry.started.wait(10)
+        assert job.wait(0.01) is False
+        woke = []
+        waiter = threading.Thread(target=lambda: woke.append(job.wait(10)))
+        waiter.start()
+        registry.gate.set()
+        waiter.join(timeout=10)
+        assert woke == [True] and job.state is JobState.DONE
+
+    def test_cancel_wakes_waiters_and_sets_cancel_event(self, registry):
+        with WorkerPool(registry, cache=ResultCache(), max_workers=1) as pool:
+            pool.submit("slow", {"value": 23})
+            assert registry.started.wait(10)
+            queued = pool.submit("echo", {"value": 23})
+            assert not queued.cancel_requested
+            woke = []
+            waiter = threading.Thread(target=lambda: woke.append(queued.wait(10)))
+            waiter.start()
+            assert pool.cancel(queued.job_id) is queued
+            waiter.join(timeout=10)
+            assert woke == [True]
+            assert queued.cancel_requested and queued.cancel_event.is_set()
+            registry.gate.set()
+
+    def test_deadline_sets_the_cancel_event(self, registry):
+        with WorkerPool(registry, cache=ResultCache(), max_workers=1) as pool:
+            job = pool.submit("slow", {"value": 24}, deadline_s=0.05)
+            assert job.wait(10)
+            assert job.state is JobState.FAILED and "deadline" in job.error
+            assert job.cancel_requested
+            registry.gate.set()
+
 
 class TestDefaultRegistry:
     def test_covers_every_experiment_and_adhoc_job(self):
