@@ -7,17 +7,10 @@ least one numeric sample.  This is the observability contract the dashboards
 and the campaign dispatcher rely on; a refactor that silently drops an
 instrumentation point must fail CI, not a production scrape.
 
-``--require-positive`` additionally demands that the samples matching a
-selector sum to more than zero — e.g. that a client family's
-``outcome="reused"`` series actually counted something, which a family
-merely being present cannot show.
-
 Usage::
 
     python scripts/check_metrics_families.py --url http://127.0.0.1:8000
     python scripts/check_metrics_families.py --url ... --require my_family
-    python scripts/check_metrics_families.py --url ... \
-        --require-positive 'repro_client_connections_total{outcome="reused"}'
 """
 
 from __future__ import annotations
@@ -40,11 +33,6 @@ DEFAULT_FAMILIES = (
 _SAMPLE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?P<labels>\{[^}]*\})?\s+(?P<value>\S+)$"
 )
-_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
-
-def _labels(text: str | None) -> dict[str, str]:
-    return dict(_LABEL.findall(text or ""))
 
 
 def scrape(url: str, timeout: float) -> str:
@@ -104,31 +92,6 @@ def check_families(text: str, families: list[str]) -> list[str]:
     return problems
 
 
-def check_positive(text: str, selectors: list[str]) -> list[str]:
-    """One problem string per ``name{label="value",...}`` selector whose
-    matching samples do not sum to more than zero."""
-    problems = []
-    for selector in selectors:
-        wanted = _SAMPLE.match(selector + " 0")
-        if wanted is None:
-            problems.append(f"malformed selector {selector!r}")
-            continue
-        name, labels = wanted.group("name"), _labels(wanted.group("labels"))
-        total = 0.0
-        for line in text.splitlines():
-            match = _SAMPLE.match(line.strip())
-            if match is None or match.group("name") != name:
-                continue
-            if labels.items() <= _labels(match.group("labels")).items():
-                try:
-                    total += float(match.group("value"))
-                except ValueError:
-                    continue
-        if not total > 0:
-            problems.append(f"{selector} sums to {total:g}, expected > 0")
-    return problems
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--url", required=True, help="base URL of a repro serve node")
@@ -138,14 +101,6 @@ def main(argv: list[str] | None = None) -> int:
         default=[],
         metavar="FAMILY",
         help="additional required family (repeatable)",
-    )
-    parser.add_argument(
-        "--require-positive",
-        action="append",
-        default=[],
-        metavar="SELECTOR",
-        help='samples matching NAME{label="value",...} must sum to > 0 '
-        "(repeatable)",
     )
     parser.add_argument(
         "--no-default-families",
@@ -166,18 +121,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot scrape {args.url}: {error}", file=sys.stderr)
         return 1
 
-    problems = check_families(text, families) + check_positive(
-        text, args.require_positive
-    )
+    problems = check_families(text, families)
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
     if problems:
         return 1
-    print(
-        f"metrics gate: {len(families)} families present and numeric"
-        + (f", {len(args.require_positive)} selector(s) positive"
-           if args.require_positive else "")
-    )
+    print(f"metrics gate: {len(families)} families present and numeric")
     return 0
 
 

@@ -34,6 +34,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.gateway import create_gateway, node_id_for_url  # noqa: E402
+from repro.obs.metrics import get_metrics  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 
 import check_metrics_families  # noqa: E402
@@ -49,6 +50,8 @@ GATEWAY_FAMILIES = (
     "repro_gateway_heartbeats_total",
     "repro_gateway_replicated_lines_total",
     "repro_gateway_failover_replays_total",
+    # The gateway's node clients run in this process, so they count here.
+    "repro_client_connections_total",
 )
 
 
@@ -138,12 +141,10 @@ def main() -> int:
                 failures.append(f"affinity: second submission not a cache hit: {second}")
             print(f"affinity OK: digest {first['digest'][:12]} pinned to {first['node']}")
             # The gateway runs in this process, so its node clients count
-            # into the scrape: the affinity polls must have reused connections.
-            if check_metrics_families.main([
-                "--url", gateway_url, "--no-default-families",
-                "--require", "repro_client_connections_total",
-                "--require-positive", 'repro_client_connections_total{outcome="reused"}',
-            ]) != 0:
+            # into this process's registry: the affinity polls must have
+            # reused connections.
+            reused = get_metrics().get("repro_client_connections_total")
+            if not reused.value(outcome="reused") > 0:
                 failures.append("keep-alive: no client connection was reused")
 
             # Stage 2: SIGKILL the node that owns fresh work; every job must

@@ -23,7 +23,7 @@ write, not an open and a close) and flushes it after every batch of lines
 under its lock.  Readers take the file size under the same lock and stream
 the lines below it, so they see only whole lines, never hold the lock while
 parsing, and never load a whole replica.  :meth:`ReplicaStore.close` closes
-the handles.
+the handles: one node's when the gateway fails it over, all at shutdown.
 """
 
 from __future__ import annotations
@@ -78,11 +78,20 @@ class ReplicaStore:
             handle.write(line + "\n")
         handle.flush()
 
-    def close(self) -> None:
-        """Close every append handle (a later write reopens its replica)."""
+    def close(self, node_id: str | None = None) -> None:
+        """Close one node's append handle, or every one.
+
+        A later write reopens its replica.  The gateway closes a node's
+        handle when it fails the node over, so nodes that come and go do not
+        accumulate open files.
+        """
         with self._lock:
-            handles = list(self._handles.values())
-            self._handles.clear()
+            if node_id is None:
+                handles = list(self._handles.values())
+                self._handles.clear()
+            else:
+                handle = self._handles.pop(node_id, None)
+                handles = [] if handle is None else [handle]
             for handle in handles:
                 handle.close()
 

@@ -755,6 +755,9 @@ class GatewayServer(HTTPServerBase):
                 ]
                 for gid in stale:
                     del self._failover[gid]
+            # Nothing routes to the node now; a node that comes back
+            # reopens its replica on its next write.
+            self.replicas.close(node_id)
             unfinished = self.replicas.unfinished(node_id)
             outcomes = {"replayed": 0, "already_finished": 0, "failed": 0}
             for record in unfinished:

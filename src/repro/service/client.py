@@ -24,11 +24,15 @@ exception taxonomy:
 
 Requests ride a keep-alive connection, one per client and thread (the
 gateway shares one client per node across its handler threads).  A server
-may close an idle connection at any time, so when a *reused* connection
-fails before any response byte arrives, the request is re-sent once on a
-fresh connection; that re-send is neither a retry nor a breaker failure.
-Every other failure — on a fresh connection, or after response bytes (a
-truncated body) — takes the retry, breaker and reconcile path below.
+may close an idle connection at any time.  Before a kept connection is
+reused, the client checks whether the server has already closed it; if so it
+opens a fresh one, and nothing was sent on the old one.  If the server closes
+it in the moment between that check and the request (no response byte
+arrives), a ``GET`` is re-sent once on a fresh connection; that re-send is
+neither a retry nor a breaker failure.  A ``POST`` is never re-sent this way:
+the server may have acted on it before the connection dropped, so it takes
+the retry, breaker and reconcile path below, as does every failure on a fresh
+connection or after response bytes (a truncated body).
 
 The campaign dispatcher (:mod:`repro.campaign.dispatch`) is built entirely on
 this client; ``examples/service_client.py`` shows interactive use.
@@ -39,7 +43,8 @@ from __future__ import annotations
 import http.client
 import json
 import random
-import sys
+import select
+import socket
 import threading
 import time
 import urllib.parse
@@ -124,16 +129,6 @@ _RECONCILES_TOTAL = get_metrics().get("repro_client_reconciliations_total")
 _CONNECTIONS_TOTAL = get_metrics().get("repro_client_connections_total")
 
 
-def _intern_keys(pairs: list[tuple[str, Any]]) -> dict:
-    return {sys.intern(key): value for key, value in pairs}
-
-
-#: Decodes response bodies with every object key interned, so a caller that
-#: keeps many records (a dispatcher's cells, a poller's history) holds one
-#: copy of each key name rather than one per record: about half the memory
-#: of a job record.
-_decode_json = json.JSONDecoder(object_pairs_hook=_intern_keys).decode
-
 class _HTTPConnection(http.client.HTTPConnection):
     """A kept connection, closed when dropped: its thread or client is gone."""
 
@@ -145,10 +140,25 @@ class _HTTPSConnection(http.client.HTTPSConnection):
     __del__ = _HTTPConnection.__del__
 
 
-#: What a reused connection raises when the server had already closed it:
-#: a reset or broken pipe on send, or ``RemoteDisconnected`` (a
+#: What a reused connection raises when the server closed it as the request
+#: went out: a reset or broken pipe on send, or ``RemoteDisconnected`` (a
 #: ``ConnectionResetError``) when the status line never arrives.
 _STALE_ERRORS = (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)
+
+#: Methods re-sent at once when a reused connection drops them: the server
+#: acts on none of them, so a second copy is harmless.
+_IDEMPOTENT_METHODS = frozenset({"GET", "HEAD"})
+
+
+def _closed_by_server(sock: socket.socket) -> bool:
+    """Whether an idle kept connection has something to read.
+
+    An idle HTTP/1.1 connection is owed nothing, so anything readable is
+    the server's end-of-file (or reset): the connection is unusable.
+    """
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 def _retry_reason(cause: str) -> str:
@@ -383,7 +393,7 @@ class ServiceClient:
             status = response.status
             if status >= 400:
                 try:
-                    body = _decode_json(raw.decode("utf-8"))
+                    body = json.loads(raw.decode("utf-8"))
                 except ValueError:
                     body = None
                 if status >= 500:
@@ -398,7 +408,7 @@ class ServiceClient:
                     continue
                 raise ServiceRequestError(status, body, url)
             try:
-                body = _decode_json(raw.decode("utf-8"))
+                body = json.loads(raw.decode("utf-8"))
             except ValueError as error:
                 self.breaker.record_failure()
                 last_cause = f"non-JSON response: {error}"
@@ -416,10 +426,12 @@ class ServiceClient:
         """One request on this thread's keep-alive connection.
 
         Returns the response (status and headers) and its whole body.  A
-        reused connection that fails before any response byte arrives was
-        closed by the server while idle: it is reopened and the request
-        sent once more.  Any exception leaves the connection closed, so the
-        next attempt starts on a fresh one.
+        kept connection the server has closed is replaced before anything
+        is sent on it.  A reused connection that drops a ``GET`` before any
+        response byte arrives is reopened and the ``GET`` sent once more;
+        any other method raises, because the server may have acted on it.
+        Any exception leaves the connection closed, so the next attempt
+        starts on a fresh one.
         """
         conn = getattr(self._local, "conn", None)
         if conn is None:
@@ -430,11 +442,16 @@ class ServiceClient:
         target = self._prefix + path
         try:
             response = None
+            if conn.sock is not None and _closed_by_server(conn.sock):
+                conn.close()
+                _CONNECTIONS_TOTAL.inc(outcome="stale")
             if conn.sock is not None:
                 try:
                     conn.request(method, target, body=data, headers=headers)
                     response = conn.getresponse()
                 except _STALE_ERRORS:
+                    if method not in _IDEMPOTENT_METHODS:
+                        raise
                     conn.close()
                     _CONNECTIONS_TOTAL.inc(outcome="stale")
                 else:

@@ -804,6 +804,21 @@ class TestFailoverResurrection:
         assert record["job_id"] == gid
         assert gid in gateway._failover
 
+    def test_failover_closes_the_nodes_replica_handle(self, plane):
+        gateway, _url = plane
+        gid = self._ghost_submit(gateway)
+        handle = gateway.replicas._handles["node-ghost"]
+        gateway.nodes.get("node-ghost").state = "dead"
+        assert gateway._failover_node("node-ghost")["replayed"] == 1
+        assert "node-ghost" not in gateway.replicas._handles
+        assert handle.closed
+        # A later write (the node came back) reopens the replica.
+        gateway.note_submission("node-ghost", "j-back", "t", {}, "d", None)
+        assert not gateway.replicas._handles["node-ghost"].closed
+        assert gateway.replicas.job_view("node-ghost", "j-back") is not None
+        assert gateway.replicas.job_view("node-ghost", "j-lost") is not None
+        assert gid in gateway._failover
+
     def test_chained_failover_rehomes_after_second_death(self, plane):
         gateway, url = plane
         gid = self._ghost_submit(gateway)

@@ -180,6 +180,72 @@ class TestKeepAlive:
         assert client.retry_stats()["total"] == 0
         assert client.breaker.stats()["consecutive_failures"] == 0
 
+    def test_server_closed_idle_connection_is_replaced_before_a_post(
+        self, own_server, connects
+    ):
+        own_server.keepalive_timeout_s = 0.1
+        client = ServiceClient(f"http://127.0.0.1:{own_server.port}", retries=0)
+        client.health()
+        assert _wait_until(lambda: not own_server._connections)
+        stale = _connections("stale")
+        record = client.submit("echo", {"value": 7}, wait=10)
+        assert record["state"] == "done"
+        assert _connections("stale") - stale == 1
+        assert connects[own_server.port] == 2
+        assert client.retry_stats()["total"] == 0
+        assert client.jobs(digest=record["digest"])["total"] == 1
+
+    @staticmethod
+    def _drop_first_answer(monkeypatch, server, method: str) -> dict:
+        """Make ``server`` close the connection instead of answering the
+        first ``method`` request it serves (after acting on it), as a
+        server killed at that moment would.  Returns the served count."""
+        from repro.service.server import NodeHandler
+
+        original = NodeHandler.send_body
+        served = {"count": 0}
+
+        def dropping(handler, status, body, content_type, extra_headers=None):
+            if handler.server is server and handler.command == method:
+                served["count"] += 1
+                if served["count"] == 1:
+                    handler.close_connection = True
+                    return None
+            return original(handler, status, body, content_type, extra_headers)
+
+        monkeypatch.setattr(NodeHandler, "send_body", dropping)
+        return served
+
+    def test_get_dropped_on_reused_connection_is_resent_once(
+        self, own_server, monkeypatch
+    ):
+        client = ServiceClient(f"http://127.0.0.1:{own_server.port}", retries=0)
+        client.submit("echo", {"value": 1}, wait=10)  # opens the connection
+        served = self._drop_first_answer(monkeypatch, own_server, "GET")
+        stale = _connections("stale")
+        assert client.health()["status"] == "ok"
+        assert served["count"] == 2
+        assert _connections("stale") - stale == 1
+        assert client.retry_stats()["total"] == 0
+        assert client.breaker.stats()["consecutive_failures"] == 0
+
+    def test_post_dropped_on_reused_connection_is_reconciled_not_resent(
+        self, own_server, monkeypatch
+    ):
+        """The server acted on the submit, then the connection closed with
+        no answer: the POST must not be re-sent silently; the retry path
+        finds the job by digest instead of posting it twice."""
+        client = ServiceClient(
+            f"http://127.0.0.1:{own_server.port}", retries=2, backoff=0.01
+        )
+        client.health()  # the submit below goes out on a reused connection
+        served = self._drop_first_answer(monkeypatch, own_server, "POST")
+        record = client.submit("echo", {"value": 42}, wait=10)
+        assert served["count"] == 1, "the dropped submit was re-POSTed"
+        assert client.reconciliations == 1
+        assert client.retry_stats()["by_reason"] == {"network": 1}
+        assert client.jobs(digest=record["digest"])["total"] == 1
+
     def test_truncated_response_on_reused_connection_is_reconciled(
         self, own_server, monkeypatch
     ):
