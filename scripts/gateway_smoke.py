@@ -9,7 +9,9 @@ subprocesses, then proves the control-plane contract end to end:
    is answered from that node's result cache (digest affinity) — over
    reused keep-alive connections (``repro_client_connections_total``);
 3. a SIGKILLed node's outstanding jobs are replayed onto the survivor from
-   the gateway's replica journal, and every job still finishes;
+   the gateway's replica journal, and every job still finishes — awaited
+   with ``GET /v1/jobs/<id>?wait=`` through the gateway across the kill,
+   the last answer carrying the result;
 4. the gateway's ``/v1/metrics`` scrape passes the metrics-families gate
    (``check_metrics_families.py --no-default-families``).
 
@@ -87,14 +89,26 @@ def spawn_node(gateway_url: str, journal_dir: Path) -> tuple[subprocess.Popen, s
     raise SystemExit(f"error: no listening banner within 30s:\n{banner}")
 
 
+#: Longest server-side block of one waited ``GET /v1/jobs/<id>``.
+WAIT_S = 2.0
+
+
 def wait_done(client: ServiceClient, job_id: str, timeout: float = 120.0) -> dict:
+    """Wait for the job on the gateway, one ``?wait=`` request at a time.
+
+    Between the kill and the failover a wait can come back at once with the
+    gateway's synthetic ``queued``; only such an early answer is followed
+    by a pause, so the loop does not spin.
+    """
     deadline = time.monotonic() + timeout
     record = {}
     while time.monotonic() < deadline:
-        record = client.job(job_id)
+        asked = time.monotonic()
+        record = client.job(job_id, wait=WAIT_S)
         if record["state"] in ("done", "failed", "cancelled"):
             return record
-        time.sleep(0.1)
+        if time.monotonic() - asked < WAIT_S:
+            time.sleep(0.1)
     raise SystemExit(f"error: job {job_id} not terminal within {timeout}s: {record}")
 
 
@@ -164,6 +178,8 @@ def main() -> int:
                 final = wait_done(client, record["job_id"])
                 if final["state"] != "done":
                     failures.append(f"failover: job {record['job_id']} -> {final['state']}")
+                elif "result" not in final:
+                    failures.append(f"long-poll: done job {record['job_id']} came without its result")
             counts = client.health()["nodes"]
             if counts["dead"] + counts["suspect"] < 1:
                 failures.append(f"failover: victim still counted healthy: {counts}")

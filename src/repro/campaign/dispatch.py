@@ -16,11 +16,12 @@ The grid walk is the local runner's own
 failed-grid propagation, checkpoint skipping, the report once the manifest
 is complete — so grid DAG semantics are a local run's by construction.  What
 is left here is the endpoint executor for one grid: submit up to the window,
-poll, checkpoint, back off on 429.  The run directory layout, the per-cell
-``results/<digest>.json`` checkpoints, and the report built only from the
-manifest order and the checkpoint payloads are the runner's too — so a
-dispatched report is **byte-identical** to a local one, resumes
-idempotently, and when no node is left the dispatch fails with
+wait for the oldest cell on the endpoint (``GET /v1/jobs/<id>?wait=``, which
+answers with the result), checkpoint, back off on 429.  The run directory
+layout, the per-cell ``results/<digest>.json`` checkpoints, and the report
+built only from the manifest order and the checkpoint payloads are the
+runner's too — so a dispatched report is **byte-identical** to a local one,
+resumes idempotently, and when no node is left the dispatch fails with
 :class:`DispatchError` and the checkpoints intact.
 """
 
@@ -68,6 +69,12 @@ MAX_CELL_ATTEMPTS = 5
 _PROBE_INTERVAL = 0.25
 _SUSPECT_AFTER = 1.0
 _DEAD_AFTER = 2.0
+
+#: Longest server-side wait of one ``GET /v1/jobs/<id>?wait=`` on the oldest
+#: outstanding cell.  The other cells are looked at only when it answers, so
+#: a younger cell that finishes first is noticed within this many seconds,
+#: the cap of the idle back-off.
+_LONG_POLL_S = 1.0
 
 
 class DispatchError(RuntimeError):
@@ -357,8 +364,8 @@ class CampaignDispatcher:
         left.
         """
         # The root span is created but NOT activated for the whole run: cell
-        # spans parent to it explicitly, while the poll-loop GETs stay out of
-        # the trace (hundreds of poll requests would drown the cell tree).
+        # spans parent to it explicitly, while the completion GETs stay out
+        # of the trace (one or more per cell would drown the cell tree).
         self._root_span = obs_trace.start_span(
             "campaign.dispatch",
             attrs={
@@ -444,13 +451,17 @@ class CampaignDispatcher:
                         continue
                     outstanding[cell.job.cell] = cell
 
-                # Only poll outcomes count as progress: a fresh submission does
-                # not skip the back-off, or every cell would cost an extra poll.
+                # Wait on the endpoint for the oldest cell; look at the others
+                # (wait=0) once it answered.  A waited answer for a done job
+                # carries the result, so a cell costs a submit and one GET.
                 progressed = False
-                for cell_id, cell in list(outstanding.items()):
+                asked = time.monotonic()
+                for index, (cell_id, cell) in enumerate(list(outstanding.items())):
                     try:
-                        record = self.client.job(cell.remote_id)
-                        if record["state"] == "done":
+                        record = self.client.job(
+                            cell.remote_id, wait=0 if index else _LONG_POLL_S
+                        )
+                        if record["state"] == "done" and "result" not in record:
                             record = self.client.result(cell.remote_id)
                     except ServiceUnavailable as error:
                         self._check_nodes_left(error)
@@ -480,9 +491,11 @@ class CampaignDispatcher:
                         cell.span.finish(error=f"remote job {record['state']}")
                 if progressed:
                     idle_sleep = self.poll_interval
-                elif queue or outstanding:
-                    # Sweeps that find nothing back off (capped at 1s) so a grid
-                    # of slow cells is not polled at full tilt for minutes.
+                elif (queue or outstanding) and time.monotonic() - asked < _LONG_POLL_S:
+                    # Nothing finished and no wait paced this sweep (nothing
+                    # was outstanding, or the endpoint answered early, e.g. a
+                    # lost node's synthetic "queued"): back off, capped at 1s,
+                    # so the loop never spins.
                     time.sleep(idle_sleep)
                     idle_sleep = min(idle_sleep * 1.5, 1.0)
         except BaseException as error:

@@ -13,8 +13,9 @@ It does three things, all best-effort and none on the request path:
 * **Replicate** journal lines: a sink on the node's :class:`JobJournal`
   buffers every appended line (bounded — oldest dropped beyond
   ``buffer_limit``), and the heartbeat thread flushes the buffer to
-  ``POST /v1/nodes/<id>/journal``.  Failures requeue the lines; the node's
-  own journal remains the durable copy either way.
+  ``POST /v1/nodes/<id>/journal`` in chunks of at most
+  ``_FLUSH_CHUNK_LINES`` lines.  Failures requeue the unsent lines; the
+  node's own journal remains the durable copy either way.
 
 The agent owns one background thread; :meth:`stop` joins it, performs a
 final flush, and deregisters gracefully (the gateway marks the node "left"
@@ -29,6 +30,11 @@ from ..service.client import ServiceClient, ServiceError, ServiceRequestError
 from .registry import compute_registry_digest, node_id_for_url
 
 __all__ = ["GatewayAgent"]
+
+#: Most journal lines one ``POST /v1/nodes/<id>/journal`` carries.  A busy
+#: node buffers thousands of lines between heartbeats; one body holding them
+#: all costs memory on both ends in proportion, a chunk a bounded amount.
+_FLUSH_CHUNK_LINES = 256
 
 
 class GatewayAgent:
@@ -136,32 +142,37 @@ class GatewayAgent:
             return len(self._buffer)
 
     def flush(self) -> None:
-        """Ship buffered journal lines to the gateway; requeue on failure."""
+        """Ship buffered journal lines to the gateway in bounded chunks.
+
+        A chunk that fails puts itself and every later chunk back at the
+        front of the buffer, in their order, and ends the flush.
+        """
         with self._lock:
             lines = self._buffer
             self._buffer = []
-        if not lines:
-            return
-        try:
-            self.client.request(
-                "POST",
-                f"/v1/nodes/{self.node_id}/journal",
-                {"lines": lines},
-            )
-        except ServiceRequestError as error:
-            self.flush_failures += 1
-            if error.status == 404:
-                # Gateway restarted or declared us dead: rejoin, keep lines.
-                self._requeue(lines)
-                self._reregister()
-            else:
+        for start in range(0, len(lines), _FLUSH_CHUNK_LINES):
+            chunk = lines[start:start + _FLUSH_CHUNK_LINES]
+            try:
+                self.client.request(
+                    "POST",
+                    f"/v1/nodes/{self.node_id}/journal",
+                    {"lines": chunk},
+                )
+            except ServiceRequestError as error:
+                self.flush_failures += 1
+                if error.status == 404:
+                    # Gateway restarted or declared us dead: rejoin, keep lines.
+                    self._requeue(lines[start:])
+                    self._reregister()
+                    return
                 # A non-404 4xx means the gateway examined and refused the
-                # payload; resending the same lines would loop forever.
+                # chunk; resending the same lines would loop forever.
                 with self._lock:
-                    self.dropped_lines += len(lines)
-        except ServiceError:
-            self.flush_failures += 1
-            self._requeue(lines)
+                    self.dropped_lines += len(chunk)
+            except ServiceError:
+                self.flush_failures += 1
+                self._requeue(lines[start:])
+                return
 
     def _requeue(self, lines: list[str]) -> None:
         with self._lock:

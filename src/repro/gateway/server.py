@@ -190,7 +190,8 @@ class GatewayHandler(HTTPHandler):
         self.send_json(200, self.server.list_jobs(self.query))
 
     def job(self, gid: str) -> None:
-        self.send_json(*self.server.proxy_job_get(gid, ""))
+        wait = parse_wait(self.query)
+        self.send_json(*self.server.proxy_job_get(gid, "", wait=wait))
 
     def job_result(self, gid: str) -> None:
         self.send_json(*self.server.proxy_job_get(gid, "/result"))
@@ -224,9 +225,8 @@ class GatewayHandler(HTTPHandler):
             # In-flight slots are keyed by digest: idempotent across the
             # resubmission of the same work and stable across failover.
             server.quotas.acquire(tenant, digest)
-        query = f"?wait={wait}" if wait is not None else ""
         try:
-            node_id, record = server.submit_routed(path, body, digest, query=query)
+            node_id, record = server.submit_routed(path, body, digest, wait=wait)
         except (NoRouteError, FleetSaturated, ServiceError):
             if tenant is not None:
                 server.quotas.release(digest)
@@ -316,8 +316,8 @@ class GatewayHandler(HTTPHandler):
               "Job listing merged over reachable nodes in node order, ids "
               "rewritten to gateway form; `offset`/`limit` window the merge."),
         Route("GET", "/v1/jobs/<id>", job,
-              "Proxied job record; answers from the replica journal when the "
-              "node is gone."),
+              "Proxied job record (`?wait=` forwarded); answers from the "
+              "replica journal, at once, when the node is gone."),
         Route("GET", "/v1/jobs/<id>/result", job_result,
               "Proxied result payload (409 while running or being failed over)."),
         Route("GET", "/v1/jobs/<id>/trace", job_trace,
@@ -509,7 +509,7 @@ class GatewayServer(HTTPServerBase):
     # ------------------------------------------------------------------ #
 
     def submit_routed(
-        self, path: str, body: dict, digest: str, query: str = ""
+        self, path: str, body: dict, digest: str, wait: float | None = None
     ) -> tuple[str, dict]:
         """POST ``body`` to the digest's ring owner, failing over candidates.
 
@@ -517,7 +517,8 @@ class GatewayServer(HTTPServerBase):
         tried; a *saturated* owner (429 through the client's retries) is
         surfaced as :class:`FleetSaturated` instead — backpressure should
         slow the caller down, not scatter the digest's cache locality
-        across the fleet.
+        across the fleet.  ``wait`` is forwarded as ``?wait=``, the node
+        client's timeout extended by it (:meth:`ServiceClient.wait_query`).
         """
         tried: set[str] = set()
         last_error = "no nodes registered"
@@ -529,10 +530,12 @@ class GatewayServer(HTTPServerBase):
             if client is None:
                 tried.add(target)
                 continue
+            query, timeout = client.wait_query(wait)
             try:
                 record = client.request(
                     "POST", path + query, body,
                     on_retry=self._reconciler(client, digest),
+                    timeout=timeout,
                 )
             except ServiceUnavailable as error:
                 if error.saturated:
@@ -599,14 +602,16 @@ class GatewayServer(HTTPServerBase):
             return None, None
         return node_id, rid
 
-    def proxy_job_get(self, gid: str, suffix: str) -> tuple[int, dict]:
+    def proxy_job_get(
+        self, gid: str, suffix: str, wait: float | None = None
+    ) -> tuple[int, dict]:
         """``GET /v1/jobs/<gid>[/result|/trace]`` -> (status, payload).
 
-        Reachable nodes are proxied and ids rewritten; a dead (or
-        unreachable) node's jobs answer synthetically from the replica
-        journal until failover has re-homed them — the caller sees
-        ``queued``, never a 5xx, so dispatcher poll loops ride straight
-        through a node loss.
+        Reachable nodes are proxied (``wait`` forwarded as in
+        :meth:`submit_routed`) and ids rewritten; a dead (or unreachable) node's
+        jobs answer synthetically from the replica journal until failover
+        has re-homed them — the caller sees ``queued``, at once and never a
+        5xx, so dispatcher poll loops ride straight through a node loss.
         """
         node_id, rid = self.lookup_target(gid)
         if node_id is None:
@@ -616,8 +621,11 @@ class GatewayServer(HTTPServerBase):
             return 404, {"error": f"no such job {gid!r} (unknown node)"}
         if node.state != "dead":
             client = self.node_client(node_id)
+            query, timeout = client.wait_query(wait)
             try:
-                record = client.request("GET", f"/v1/jobs/{rid}{suffix}")
+                record = client.request(
+                    "GET", f"/v1/jobs/{rid}{suffix}{query}", timeout=timeout
+                )
             except ServiceRequestError as error:
                 payload = error.payload if isinstance(error.payload, dict) else None
                 payload = payload or {"error": str(error)}

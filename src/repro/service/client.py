@@ -120,6 +120,11 @@ class JobFailedError(ServiceError):
         super().__init__(f"job {job.get('job_id')!r} failed: {error}")
 
 
+#: Longest server-side block of one ``GET /v1/jobs/<id>?wait=`` in
+#: :meth:`ServiceClient.run_job`; a job that runs longer costs one request
+#: per this many seconds.
+_JOB_WAIT_SECONDS = 10.0
+
 #: HTTP statuses worth retrying: saturation and transient upstream errors.
 _RETRYABLE_STATUSES = frozenset({429, 502, 503, 504})
 
@@ -336,6 +341,7 @@ class ServiceClient:
         path: str,
         payload: dict | None = None,
         on_retry: Callable[[], dict | None] | None = None,
+        timeout: float | None = None,
     ) -> dict:
         """One JSON round trip with retry/backoff; returns the decoded body.
 
@@ -349,6 +355,10 @@ class ServiceClient:
         when it returns a dict, that becomes the call's result and the
         request is *not* re-sent — the reconcile hook non-idempotent calls
         like :meth:`submit` use to avoid acting twice.
+
+        ``timeout`` replaces the client's socket timeout for this request
+        only: a ``?wait=`` request passes the client's timeout plus the wait,
+        so the server's bounded block is not cut off as a network failure.
         """
         url = self.base_url + path
         if not self.breaker.allow():
@@ -381,7 +391,10 @@ class ServiceClient:
                         return resolved
             try:
                 maybe_fail("client.request")
-                response, raw = self._exchange(method, path, data, headers)
+                response, raw = self._exchange(
+                    method, path, data, headers,
+                    self.timeout if timeout is None else timeout,
+                )
             except (http.client.HTTPException, OSError) as error:
                 # Refused, reset, timed out, or cut short mid-response
                 # (IncompleteRead: what a truncated — chaos-proxied or
@@ -421,11 +434,14 @@ class ServiceClient:
         )
 
     def _exchange(
-        self, method: str, path: str, data: bytes | None, headers: dict
+        self, method: str, path: str, data: bytes | None, headers: dict,
+        timeout: float,
     ) -> tuple[http.client.HTTPResponse, bytes]:
         """One request on this thread's keep-alive connection.
 
-        Returns the response (status and headers) and its whole body.  A
+        Returns the response (status and headers) and its whole body.  The
+        connection's socket timeout is set to ``timeout`` only when it
+        differs, so a client that never varies it makes no extra syscall.  A
         kept connection the server has closed is replaced before anything
         is sent on it.  A reused connection that drops a ``GET`` before any
         response byte arrives is reopened and the ``GET`` sent once more;
@@ -437,8 +453,12 @@ class ServiceClient:
         if conn is None:
             host, port = self._address
             conn = self._local.conn = self._connection_class(
-                host, port, timeout=self.timeout
+                host, port, timeout=timeout
             )
+        if conn.timeout != timeout:
+            conn.timeout = timeout  # what the next connect() uses
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout)
         target = self._prefix + path
         try:
             response = None
@@ -482,6 +502,18 @@ class ServiceClient:
             "reconciliations": self.reconciliations,
         }
 
+    def wait_query(self, wait: float | None) -> tuple[str, float | None]:
+        """``(query, timeout)`` for a request that may carry ``?wait=``.
+
+        The server blocks up to ``wait`` seconds before it answers, so the
+        request's timeout is this client's own plus the wait; under the
+        plain timeout a slow job on a healthy server would read as a network
+        failure.  Without a wait: no query, the client's timeout.
+        """
+        if wait is None:
+            return "", None
+        return f"?wait={wait}", self.timeout + wait
+
     # ------------------------------------------------------------------ #
     # Endpoints
     # ------------------------------------------------------------------ #
@@ -509,7 +541,7 @@ class ServiceClient:
             return self.request("GET", "/v1/metrics?format=json")
         url = self.base_url + "/v1/metrics"
         try:
-            response, raw = self._exchange("GET", "/v1/metrics", None, {})
+            response, raw = self._exchange("GET", "/v1/metrics", None, {}, self.timeout)
         except (http.client.HTTPException, OSError) as error:
             raise ServiceUnavailable(url, 1, str(error) or type(error).__name__) from None
         if response.status >= 400:
@@ -537,13 +569,14 @@ class ServiceClient:
         adopted this way is returned as-is — a ``wait=`` bound applies only
         to a fresh POST.)
         """
-        path = "/v1/jobs" if wait is None else f"/v1/jobs?wait={wait}"
+        query, timeout = self.wait_query(wait)
         body: dict = {"type": job_type, "params": params or {}}
         if deadline_s is not None:
             body["deadline_s"] = deadline_s
         return self.request(
-            "POST", path, body,
+            "POST", "/v1/jobs" + query, body,
             on_retry=lambda: self._reconcile_submit(job_type, params),
+            timeout=timeout,
         )
 
     def _reconcile_submit(self, job_type: str, params: dict | None) -> dict | None:
@@ -576,8 +609,10 @@ class ServiceClient:
         return None
 
     def submit_campaign(self, spec: dict, jobs: int = 1, wait: float | None = None) -> dict:
-        path = "/v1/campaign" if wait is None else f"/v1/campaign?wait={wait}"
-        return self.request("POST", path, {"spec": spec, "jobs": jobs})
+        query, timeout = self.wait_query(wait)
+        return self.request(
+            "POST", "/v1/campaign" + query, {"spec": spec, "jobs": jobs}, timeout=timeout
+        )
 
     def compress(
         self,
@@ -599,11 +634,17 @@ class ServiceClient:
             body["params"] = params
         if stages is not None:
             body["stages"] = stages
-        path = "/v1/compress" if wait is None else f"/v1/compress?wait={wait}"
-        return self.request("POST", path, body)
+        query, timeout = self.wait_query(wait)
+        return self.request("POST", "/v1/compress" + query, body, timeout=timeout)
 
-    def job(self, job_id: str) -> dict:
-        return self.request("GET", f"/v1/jobs/{job_id}")
+    def job(self, job_id: str, wait: float | None = None) -> dict:
+        """``GET /v1/jobs/<id>``; with ``wait``, block (bounded) server-side.
+
+        A waited call answers as soon as the job finishes, with its result
+        when it is done, or after ``wait`` seconds with the job as it is.
+        """
+        query, timeout = self.wait_query(wait)
+        return self.request("GET", f"/v1/jobs/{job_id}{query}", timeout=timeout)
 
     def result(self, job_id: str) -> dict:
         """Full record of a finished job, including its result payload."""
@@ -716,11 +757,15 @@ class ServiceClient:
     ) -> Any:
         """Submit, wait for completion, and return the result payload.
 
-        Polling backs off exponentially with jitter — starting at
-        ``poll_interval``, growing 1.7x per poll, capped at ``poll_cap``
-        seconds, each sleep jittered by a uniform 0.5–1.5x factor — so a
-        thousand concurrent pollers neither hammer the node at a fixed
-        cadence nor synchronize into thundering herds.
+        Completion is awaited on the server: ``GET /v1/jobs/<id>?wait=``
+        blocks up to ``_JOB_WAIT_SECONDS`` per call and answers with the
+        result as soon as the job is done.  Only an answer that comes back
+        early without a finished job (a gateway's synthetic ``queued`` for
+        a lost node's job) is followed by a sleep, which backs off
+        exponentially with jitter — starting at ``poll_interval``, growing
+        1.7x per sleep, capped at ``poll_cap`` seconds, each jittered by a
+        uniform 0.5–1.5x factor — so such answers never become a busy loop
+        and a thousand pollers do not synchronize into thundering herds.
 
         Raises :class:`JobFailedError` if the remote job fails and
         ``TimeoutError`` if it does not finish in ``timeout`` seconds.
@@ -729,16 +774,23 @@ class ServiceClient:
         deadline = None if timeout is None else time.monotonic() + timeout
         delay = poll_interval
         while not _finished(record["state"]):
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"job {record['job_id']} did not finish in {timeout}s"
-                )
-            self._sleep(delay * random.uniform(0.5, 1.5))
-            delay = min(delay * 1.7, poll_cap)
-            record = self.job(record["job_id"])
+            wait = _JOB_WAIT_SECONDS
+            if deadline is not None:
+                wait = min(wait, deadline - time.monotonic())
+                if wait <= 0:
+                    raise TimeoutError(
+                        f"job {record['job_id']} did not finish in {timeout}s"
+                    )
+            asked = time.monotonic()
+            record = self.job(record["job_id"], wait=wait)
+            if not _finished(record["state"]) and time.monotonic() - asked < wait:
+                self._sleep(delay * random.uniform(0.5, 1.5))
+                delay = min(delay * 1.7, poll_cap)
         if record["state"] != "done":
             raise JobFailedError(record)
-        return self.result(record["job_id"])["result"]
+        if "result" not in record:
+            record = self.result(record["job_id"])
+        return record["result"]
 
 
 def _retry_after_hint(response, body: dict | None) -> float | None:

@@ -74,12 +74,18 @@ DEFAULT_KEEP_FINISHED = 1024
 def checksummed_line(record: dict) -> str:
     """Serialize ``record`` with a ``crc32`` field over its canonical JSON.
 
+    The record is serialized once and the field spliced in as its last key.
+    Lines written before that carry ``crc32`` in sorted key order; the
+    checksum covers the record without the field either way, so
+    :func:`verify_checksum` accepts both.  ``record`` must not hold a
+    ``crc32`` key itself.
+
     Public: the gateway's replication store writes replica journal lines in
     exactly this format so one verifier covers both.
     """
     payload = json.dumps(record, sort_keys=True, allow_nan=False)
     crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-    return json.dumps({**record, "crc32": crc}, sort_keys=True, allow_nan=False)
+    return f'{payload[:-1]}{", " if record else ""}"crc32": {crc}}}'
 
 
 def verify_checksum(record: dict) -> bool:

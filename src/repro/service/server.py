@@ -8,8 +8,9 @@ metrics, spans and probes live in the base.  The generated
 ``POST /v1/jobs``, ``/v1/compress`` and ``/v1/campaign`` validate their
 bodies before submission (typos are a 400, not a failed job), and
 ``?wait=<seconds>`` blocks (bounded) until the job finishes and then includes
-the result — handy for synchronous clients; everyone else polls
-``/v1/jobs/<id>``.  A saturated queue is a 429 with ``Retry-After``.
+the result — handy for synchronous clients.  ``GET /v1/jobs/<id>?wait=`` does
+the same for a job already submitted, so a client waits for completion on the
+server instead of polling.  A saturated queue is a 429 with ``Retry-After``.
 """
 
 from __future__ import annotations
@@ -241,7 +242,19 @@ class NodeHandler(HTTPHandler):
         return job
 
     def job(self, job_id: str) -> None:
-        self.send_json(200, self._job(job_id).to_dict())
+        """One job's record; ``?wait=`` blocks like a waited submit.
+
+        A waited request answers as soon as the job finishes (or the wait
+        runs out) and carries the result when the job is done, so a client
+        learns of completion and fetches the payload in one request.
+        """
+        wait_seconds = parse_wait(self.query)
+        job = self._job(job_id)
+        if wait_seconds is None:
+            self.send_json(200, job.to_dict())
+            return
+        job.wait(wait_seconds)
+        self.send_json(200, job.to_dict(include_result=job.state is JobState.DONE))
 
     def job_result(self, job_id: str) -> None:
         job = self._job(job_id)
@@ -439,7 +452,8 @@ class NodeHandler(HTTPHandler):
         Route("GET", "/v1/jobs", list_jobs,
               "List jobs; `state`, `digest`, `offset`, `limit` query params."),
         Route("GET", "/v1/jobs/<id>", job,
-              "One job's record (state, timings, provenance digest)."),
+              "One job's record (state, timings, provenance digest); "
+              "`?wait=<s>` blocks until it finishes, then includes the result."),
         Route("GET", "/v1/jobs/<id>/result", job_result,
               "The finished job's result payload (409 while running)."),
         Route("GET", "/v1/jobs/<id>/trace", job_trace,

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.campaign import CampaignRunError, CampaignRunner, parse_spec
-from repro.campaign.dispatch import CampaignDispatcher, DispatchError
+from repro.campaign.dispatch import MAX_CELL_ATTEMPTS, CampaignDispatcher, DispatchError
 from repro.obs.trace import get_recorder
 from repro.service import create_server
 from repro.service.client import ServiceClient, ServiceUnavailable
@@ -182,7 +182,7 @@ class TestNodeLossMidRun:
                 if url == dying_url and state["completed"] >= 1:
                     raise ServiceUnavailable(url, 1, "simulated node loss")
                 record = real_request(method, path, *args, **kw)
-                if path.endswith("/result"):
+                if "result" in record:
                     state["completed"] += 1
                 return record
 
@@ -351,11 +351,21 @@ class TestBackpressureAndLivelock:
         from repro.service.client import ServiceRequestError
 
         def poisoned_factory(url, **kwargs):
+            # Every fetch that would return a result answers 500: the waited
+            # GET that carries it, and the result route.
             client = fast_client(url, **kwargs)
+            real_job = client.job
+
+            def job(job_id, wait=None):
+                record = real_job(job_id, wait=wait)
+                if "result" in record:
+                    raise ServiceRequestError(500, {"error": "poisoned"}, url)
+                return record
 
             def result(job_id):
                 raise ServiceRequestError(500, {"error": "poisoned"}, url)
 
+            client.job = job
             client.result = result
             return client
 
@@ -365,10 +375,92 @@ class TestBackpressureAndLivelock:
             parse_spec(SPEC), fleet[:1], tmp_path / "run",
             poll_interval=0.01, client_factory=poisoned_factory,
         )
-        with pytest.raises(CampaignRunError):
+        with pytest.raises(CampaignRunError) as raised:
             dispatcher.run()
         assert dispatcher.stats["failed"] >= 1
+        gave_up = f"gave up after {MAX_CELL_ATTEMPTS} attempt(s)"
+        assert all(reason.startswith(gave_up) for _, reason in raised.value.failures)
         # Bounded retries, not a livelock: the run ended and recorded stats.
+
+
+def counting_client(url, **kwargs):
+    """A :func:`fast_client` that logs each request as ``(time, "METHOD path")``."""
+    client = fast_client(url, **kwargs)
+    client.sent = []
+    real_request = client.request
+
+    def request(method, path, *args, **kw):
+        client.sent.append((time.monotonic(), f"{method} {path}"))
+        return real_request(method, path, *args, **kw)
+
+    client.request = request
+    return client
+
+
+class TestLongPoll:
+    def test_each_cell_costs_a_submit_and_one_waited_get(self, fleet, local_reports, tmp_path):
+        # One node, one cell in flight: the waited GET on the only
+        # outstanding cell answers with its result, so nothing else is asked.
+        dispatcher = CampaignDispatcher(
+            parse_spec(SPEC), fleet[:1], tmp_path / "run",
+            max_inflight=1, client_factory=counting_client,
+        )
+        stats = dispatcher.run()
+        assert stats["executed"] == 6 and stats["client"]["retries"] == 0
+        assert (tmp_path / "run/report.json").read_bytes() == local_reports[0]
+        sent = [request for _, request in dispatcher.client.sent]
+        assert sent[0] == "GET /v1/health"
+        assert len(sent[1:]) == 2 * 6
+        for submit, waited in zip(sent[1::2], sent[2::2], strict=True):
+            assert submit == "POST /v1/jobs"
+            assert waited.startswith("GET /v1/jobs/") and waited.endswith("?wait=1.0")
+
+    def test_synthetic_queued_answers_do_not_spin(self, tmp_path, monkeypatch):
+        # The only node stops listening while its one cell runs.  The
+        # in-process gateway then answers every wait at once with a
+        # synthetic "queued" until it declares the node dead; the
+        # dispatcher must back off meanwhile, not re-ask at full speed.
+        from repro.campaign import dispatch
+
+        monkeypatch.setattr(dispatch, "_DEAD_AFTER", 1.0)
+        monkeypatch.setattr(dispatch, "_SUSPECT_AFTER", 0.5)
+        release, running = threading.Event(), threading.Event()
+
+        def blocker():
+            running.set()
+            release.wait(30)
+            return {}
+
+        registry = build_default_registry()
+        registry.add("blocker", "runs until the test releases it", blocker)
+        server = create_server(port=0, max_workers=1, registry=registry)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        closed_at = []
+
+        def close_when_running():
+            if running.wait(30):
+                server.close(wait=False)
+                closed_at.append(time.monotonic())
+
+        closer = threading.Thread(target=close_when_running, daemon=True)
+        closer.start()
+        dispatcher = CampaignDispatcher(
+            parse_spec({"name": "blocked", "grids": [{"name": "g", "scenario": "blocker"}]}),
+            [f"http://127.0.0.1:{server.port}"], tmp_path / "run",
+            registry=registry, poll_interval=0.02, client_factory=counting_client,
+        )
+        try:
+            with pytest.raises(DispatchError):
+                dispatcher.run()
+        finally:
+            release.set()
+            closer.join(timeout=10)
+        ended = time.monotonic()
+        assert closed_at, "the cell never started"
+        after = [at for at, _ in dispatcher.client.sent if at >= closed_at[0]]
+        seconds = ended - closed_at[0]
+        # A busy loop makes hundreds of requests a second here.
+        assert len(after) <= 5 + 10 * seconds, (len(after), seconds)
 
 
 class TestDispatcherValidation:

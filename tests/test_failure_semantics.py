@@ -373,6 +373,11 @@ class TestJitteredPolling:
         try:
             client = ServiceClient(f"http://127.0.0.1:{server.port}",
                                    retries=0, sleep=record_sleep)
+            # The back-off is for an endpoint that answers a wait at once
+            # without a finished job (a gateway's synthetic "queued" for a
+            # lost node's job): drop the wait to play that endpoint.
+            real_job = client.job
+            client.job = lambda job_id, wait=None: real_job(job_id)
             result = client.run_job("slow", {"value": 12}, poll_interval=0.05,
                                     poll_cap=0.4, timeout=30)
             assert result == {"value": 12}
@@ -386,6 +391,35 @@ class TestJitteredPolling:
         for previous, current in zip(sleeps, sleeps[1:], strict=False):
             assert current == pytest.approx(min(previous * 1.7, 0.4))
         assert max(sleeps) <= 0.4 + 1e-9
+
+    def test_run_job_waits_on_the_server_without_sleeping(self):
+        registry = gated_registry()
+        server = create_server(port=0, registry=registry, max_workers=1)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        sleeps: list[float] = []
+        requests: list[str] = []
+        opener = threading.Timer(0.3, registry.gate.set)
+        try:
+            client = ServiceClient(f"http://127.0.0.1:{server.port}",
+                                   retries=0, sleep=sleeps.append)
+            real_request = client.request
+
+            def request(method, path, *args, **kwargs):
+                requests.append(f"{method} {path.split('?')[0]}")
+                return real_request(method, path, *args, **kwargs)
+
+            client.request = request
+            opener.start()
+            assert client.run_job("slow", {"value": 7}, timeout=30) == {"value": 7}
+        finally:
+            opener.cancel()
+            registry.gate.set()
+            server.close()
+            thread.join(timeout=10)
+        # A submit and one waited GET that came back with the result.
+        assert requests == ["POST /v1/jobs", "GET /v1/jobs/job-000001"]
+        assert sleeps == []
 
 
 # --------------------------------------------------------------------------- #

@@ -542,6 +542,19 @@ class TestGatewayFrontDoor:
         listed = {node["node_id"] for node in listing["nodes"]}
         assert {agent.node_id for agent in agents} <= listed
 
+    def test_waited_get_returns_the_result_once_done(self, fabric):
+        _, url, _, _ = fabric
+        client = ServiceClient(url, timeout=30.0)
+        body = {"type": "quantize_tensor", "params": {"rows": 16, "cols": 32, "seed": 23}}
+        record = client.request("POST", "/v1/jobs", body)
+        waited = client.job(record["job_id"], wait=30)
+        assert waited["state"] == "done" and waited["job_id"] == record["job_id"]
+        assert waited["result"] == client.result(record["job_id"])["result"]
+        for bad in ("soon", "nan"):
+            with pytest.raises(ServiceRequestError) as excinfo:
+                client.request("GET", f"/v1/jobs/{record['job_id']}?wait={bad}")
+            assert excinfo.value.status == 400
+
     def test_journal_replication_streams_node_lines(self, fabric):
         import time
 
@@ -1034,6 +1047,136 @@ class TestSubmitReconciliation:
             assert listing["total"] == 1, "double submit reached the node"
         finally:
             server.close()
+
+
+class TestWaitedRequestsOutlastNodeTimeout:
+    def test_slow_job_is_done_without_a_node_client_retry(self):
+        """A waited request is forwarded with the node timeout plus the wait.
+
+        Under the bare ``node_timeout`` the node's bounded block read as a
+        network failure: the answer came back ``running`` after a retry.
+        """
+        import time
+
+        registry = build_default_registry()
+
+        def nap(seconds=0.0):
+            time.sleep(seconds)
+            return {"slept": seconds}
+
+        registry.add("nap", "sleep, then answer", nap, {"seconds": 0.0})
+        gateway = create_gateway(
+            port=0, registry=registry, node_timeout=0.3,
+            suspect_after=30.0, dead_after=60.0,
+        )
+        threading.Thread(target=gateway.serve_forever, daemon=True).start()
+        server = create_server(port=0, max_workers=1, registry=registry)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{gateway.port}"
+        agent = GatewayAgent(url, f"http://127.0.0.1:{server.port}", server)
+        agent.start()
+        try:
+            client = ServiceClient(url, timeout=10.0)
+            posted = client.request(
+                "POST", "/v1/jobs?wait=30", {"type": "nap", "params": {"seconds": 0.8}}
+            )
+            assert posted["state"] == "done" and posted["result"] == {"slept": 0.8}
+            queued = client.request(
+                "POST", "/v1/jobs", {"type": "nap", "params": {"seconds": 0.81}}
+            )
+            waited = client.job(queued["job_id"], wait=30)
+            assert waited["state"] == "done" and waited["result"] == {"slept": 0.81}
+            node_client = gateway.node_client(agent.node_id)
+            assert node_client.retry_stats()["total"] == 0
+        finally:
+            agent.stop()
+            server.close()
+            gateway.close()
+
+
+class TestAgentFlushChunks:
+    """``GatewayAgent.flush`` ships bounded chunks and requeues the unsent."""
+
+    class Recorder:
+        """Stands in for the agent's gateway client; fails journal POST
+        number ``fail_at`` (1-based) with ``error``."""
+
+        def __init__(self, fail_at=None, error=None):
+            self.fail_at, self.error = fail_at, error
+            self.chunks: list[list[str]] = []
+            self.posts = 0
+            self.registrations = 0
+
+        def request(self, method, path, payload=None, **kwargs):
+            if path == "/v1/nodes":
+                self.registrations += 1
+                return {}
+            self.posts += 1
+            if self.posts == self.fail_at:
+                raise self.error
+            self.chunks.append(payload["lines"])
+            return {}
+
+    def agent_with(self, recorder, lines):
+        from types import SimpleNamespace
+
+        agent = GatewayAgent(
+            "http://gateway.invalid", "http://node.invalid",
+            SimpleNamespace(registry=build_default_registry()),
+        )
+        agent.client = recorder
+        for line in lines:
+            agent._enqueue(line)
+        return agent
+
+    def test_flush_sends_bounded_chunks_in_order(self):
+        from repro.gateway.agent import _FLUSH_CHUNK_LINES
+
+        lines = [f"line-{i}" for i in range(2 * _FLUSH_CHUNK_LINES + 5)]
+        recorder = self.Recorder()
+        agent = self.agent_with(recorder, lines)
+        agent.flush()
+        assert [len(chunk) for chunk in recorder.chunks] == [
+            _FLUSH_CHUNK_LINES, _FLUSH_CHUNK_LINES, 5
+        ]
+        assert sum(recorder.chunks, []) == lines
+        assert agent.pending_lines() == 0
+
+    @pytest.mark.parametrize("status", [None, 404])
+    def test_failure_part_way_requeues_the_unsent_lines_in_order(self, status):
+        from repro.gateway.agent import _FLUSH_CHUNK_LINES
+        from repro.service.client import ServiceUnavailable
+
+        error = (
+            ServiceUnavailable("http://gateway.invalid", 2, "refused")
+            if status is None
+            else ServiceRequestError(status, {"error": "unknown node"}, "x")
+        )
+        lines = [f"line-{i}" for i in range(3 * _FLUSH_CHUNK_LINES)]
+        recorder = self.Recorder(fail_at=2, error=error)
+        agent = self.agent_with(recorder, lines)
+        agent.flush()
+        assert recorder.chunks == [lines[:_FLUSH_CHUNK_LINES]]
+        assert recorder.posts == 2, "the flush stops at the failed chunk"
+        assert agent.flush_failures == 1 and agent.dropped_lines == 0
+        assert recorder.registrations == (1 if status == 404 else 0)
+        agent._enqueue("later")  # journaled while the gateway was away
+        agent.flush()
+        assert sum(recorder.chunks, []) == [*lines, "later"]
+        assert agent.pending_lines() == 0
+
+    def test_refused_chunk_is_dropped_and_the_rest_still_sent(self):
+        from repro.gateway.agent import _FLUSH_CHUNK_LINES
+
+        lines = [f"line-{i}" for i in range(2 * _FLUSH_CHUNK_LINES + 1)]
+        recorder = self.Recorder(
+            fail_at=1, error=ServiceRequestError(400, {"error": "bad lines"}, "x")
+        )
+        agent = self.agent_with(recorder, lines)
+        agent.flush()
+        assert sum(recorder.chunks, []) == lines[_FLUSH_CHUNK_LINES:]
+        assert agent.dropped_lines == _FLUSH_CHUNK_LINES
+        assert agent.pending_lines() == 0
 
 
 class TestNeverServedClose:

@@ -16,7 +16,7 @@ import pytest
 from repro.chaos import FaultPlan, clear_plan, install_plan
 from repro.obs.metrics import get_metrics
 from repro.service import JobJournal, JobState, ResultCache, ScenarioRegistry, WorkerPool
-from repro.service.journal import DEFAULT_KEEP_FINISHED, checksummed_line
+from repro.service.journal import DEFAULT_KEEP_FINISHED, checksummed_line, verify_checksum
 from repro.service.workers import job_digest
 
 
@@ -56,6 +56,37 @@ class TestChecksums:
             claimed = record.pop("crc32")
             payload = json.dumps(record, sort_keys=True, allow_nan=False)
             assert claimed == zlib.crc32(payload.encode()) & 0xFFFFFFFF
+
+    def test_spliced_and_sorted_crc_lines_both_verify_and_replay(self, tmp_path):
+        # Lines carry crc32 spliced in as the last key; lines written before
+        # carry it in sorted key order.  Both must verify and replay.
+        records = [
+            {
+                "event": "submit", "job_id": f"job-00000{value}", "type": "echo",
+                "params": {"value": value}, "digest": job_digest("echo", {"value": value}),
+                "submitted_at": 0.0,
+            }
+            for value in (1, 2)
+        ]
+        spliced = checksummed_line(records[0])
+        payload = json.dumps(records[1], sort_keys=True, allow_nan=False)
+        crc = zlib.crc32(payload.encode()) & 0xFFFFFFFF
+        sorted_line = json.dumps({**records[1], "crc32": crc}, sort_keys=True)
+        assert list(json.loads(spliced))[-1] == "crc32"
+        assert list(json.loads(sorted_line)) == sorted(json.loads(sorted_line))
+        for line in (spliced, sorted_line):
+            assert verify_checksum(json.loads(line))
+            tampered = json.loads(line)
+            tampered["type"] = "tampered"
+            assert not verify_checksum(tampered)
+        assert json.loads(checksummed_line({}))["crc32"] == zlib.crc32(b"{}")
+        (tmp_path / "journal.jsonl").write_text(spliced + "\n" + sorted_line + "\n")
+        pool, journal = make_pool(tmp_path, [])
+        stats = journal.replay(pool)
+        assert stats["replayed"] == 2 and stats["quarantined"] == 0
+        assert pool.store.get("job-000002").wait(10)
+        pool.shutdown()
+        journal.close()
 
     def test_legacy_lines_without_crc_still_replay(self, tmp_path):
         # Journals written before checksumming carry no crc32 field; they

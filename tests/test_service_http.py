@@ -136,6 +136,17 @@ class TestJobSubmission:
         # Let it finish so module teardown does not wait on the pool.
         assert self._wait_done(base, submitted["job_id"])
 
+    def test_waited_get_returns_the_result_once_done(self, base):
+        job = {"type": "prune_tensor", "params": {"rows": 64, "cols": 512, "seed": 3}}
+        _, submitted = post(base, "/v1/jobs", job)
+        job_id = submitted["job_id"]
+        status, peek = get(base, f"/v1/jobs/{job_id}?wait=0")
+        assert status == 200
+        assert ("result" in peek) == (peek["state"] == "done")
+        status, waited = get(base, f"/v1/jobs/{job_id}?wait=120")
+        assert status == 200 and waited["state"] == "done"
+        assert waited["result"] == get(base, f"/v1/jobs/{job_id}/result")[1]["result"]
+
     @staticmethod
     def _wait_done(base, job_id, deadline=120.0):
         import time
@@ -173,6 +184,8 @@ class TestJobSubmission:
         assert post(base, "/v1/jobs?wait=1O", PRUNE_JOB)[0] == 400  # letter O typo
         assert post(base, "/v1/jobs?wait=nan", PRUNE_JOB)[0] == 400
         assert len(get(base, "/v1/jobs")[1]["jobs"]) == before
+        assert get(base, "/v1/jobs/job-000001?wait=1O")[0] == 400
+        assert get(base, "/v1/jobs/job-000001?wait=nan")[0] == 400
 
     def test_keepalive_connection_survives_posted_body_to_404(self, server):
         # The 404 handler must drain the body, or the unread bytes corrupt
