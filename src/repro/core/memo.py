@@ -13,10 +13,7 @@ memory-only) are keyed by :func:`~repro.core.hashing.stable_digest` of the
 full input:
 
 * ``models`` — ``synthesize_model`` outputs, keyed by the model spec, seed,
-  statistics, and sampling caps; and trained ``MLPClassifier`` weights and
-  biases with their test accuracy (figure 11), keyed by the layer sizes, the
-  starting weights and biases, the four dataset arrays, and the epochs,
-  batch size, learning rate and shuffle seed;
+  statistics, and sampling caps;
 * ``tensors`` — ``prune_tensor`` results, keyed by the weight array (or the
   carried digest of a synthesized layer) and the complete pruning
   configuration (columns, strategy, group size, word width, sensitive-channel
@@ -27,7 +24,11 @@ full input:
   parameters), the model spec and the ordered ``(layer name, layer digest)``
   pairs, and the figure 11/16 model compressions keyed by the method, group
   size and the same pairs.  The key is per model, not per layer, because
-  BitVert selects its sensitive channels across the whole model.
+  BitVert selects its sensitive channels across the whole model.  Figure
+  11's end-to-end MLP study is one entry too: its rows, keyed by the whole
+  ``MLPStudy`` record that drives it (dataset arguments, hidden sizes,
+  epochs, batch size, learning rate, compressor line-up and seed), so a warm
+  figure 11 neither builds the dataset nor trains nor compresses.
 
 A layer digest is computed once, when ``synthesize_layer`` builds the
 :class:`~repro.nn.synthetic.LayerWeights`, whose arrays are then frozen
@@ -40,8 +41,6 @@ private copies and hits return fresh copies, so callers may freely mutate a
 ``PrunedTensor`` or ``ModelPerformance`` they receive.  ``models`` entries
 share their (large) ``LayerWeights`` objects across hits to avoid copying
 whole models per experiment; their frozen arrays make that safe.
-Trained-MLP entries keep private copies, and a hit copies them into the
-classifier's own arrays.
 
 The memo is per-process (worker processes build their own) and is enabled by
 default; set ``REPRO_MEMO=0`` to disable it, or use :func:`memo_disabled` to
@@ -97,8 +96,8 @@ def _env_enabled() -> bool:
 
 
 class ArtifactMemo:
-    """LRU memo for synthesized models, trained MLPs, compressed tensors and
-    whole-model evaluations."""
+    """LRU memo for synthesized models, compressed tensors and whole-model
+    evaluations."""
 
     def __init__(
         self,

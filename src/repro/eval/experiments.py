@@ -17,7 +17,7 @@ for the LLM study (Figure 17).  The substitutions are listed in DESIGN.md.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -236,56 +236,130 @@ def _compress_layers(
     )
 
 
-def _mlp_compressors() -> dict[str, object]:
-    """Per-layer INT8 compression callbacks for the end-to-end MLP experiment."""
+@dataclass(frozen=True)
+class MLPStudy:
+    """Every input of figure 11's end-to-end MLP study.
 
-    def bbs(preset: PruningPreset):
+    :func:`_mlp_study` reads its dataset, network, training and compressor
+    line-up from this record alone, and the memo key is the record itself,
+    so nothing the rows depend on can be left out of the key.
+    """
+
+    num_samples: int = 6000
+    num_features: int = 64
+    num_classes: int = 16
+    test_fraction: float = 0.25
+    hidden_sizes: tuple[int, ...] = (192, 128)
+    epochs: int = 25
+    batch_size: int = 128
+    learning_rate: float = 1e-3
+    #: ``(row label, method, argument)``: ``int8`` (no argument), ``ptq``
+    #: (bits), ``bitwave`` (columns) or ``bbs`` (a :class:`PruningPreset`).
+    compressors: tuple[tuple[str, str, object], ...] = (
+        ("INT8 baseline", "int8", None),
+        ("PTQ (6-bit)", "ptq", 6),
+        ("PTQ (4-bit)", "ptq", 4),
+        ("BitWave (4 cols)", "bitwave", 4),
+        ("BBS conservative", "bbs", CONSERVATIVE_PRESET),
+        ("BBS moderate", "bbs", MODERATE_PRESET),
+    )
+    #: Fraction of channels BitWave keeps at 8 bits (BBS uses its preset's beta).
+    bitwave_sensitive_fraction: float = 0.10
+    #: Seeds the dataset, the initial weights and the training shuffle.
+    seed: int = 0
+
+
+#: The study figure 11 runs (with the caller's seed).
+FIGURE11_MLP_STUDY = MLPStudy()
+
+
+def _largest_channels(values: np.ndarray, fraction: float) -> np.ndarray:
+    """Mask of the ``ceil(fraction * rows)`` rows with the largest max magnitude."""
+    count = int(np.ceil(fraction * values.shape[0]))
+    order = np.argsort(-np.abs(values).max(axis=1), kind="stable")
+    sensitive = np.zeros(values.shape[0], dtype=bool)
+    sensitive[order[:count]] = True
+    return sensitive
+
+
+def _mlp_compressor(method: str, argument: object, study: MLPStudy):
+    """Per-layer INT8 compression callback for one entry of ``study.compressors``."""
+    if method == "int8":
+        return lambda name, values, scales: values
+    if method == "ptq":
+        def compress(name: str, values: np.ndarray, scales: np.ndarray) -> np.ndarray:
+            del name
+            quantized = quantize_per_channel(values.astype(np.float64) * scales[:, None], 8)
+            return requantize_to_lower_bits(quantized, argument).values
+    elif method == "bitwave":
         def compress(name: str, values: np.ndarray, scales: np.ndarray) -> np.ndarray:
             del name, scales
-            count = int(np.ceil(preset.beta * values.shape[0]))
-            order = np.argsort(-np.abs(values).max(axis=1), kind="stable")
-            sensitive = np.zeros(values.shape[0], dtype=bool)
-            sensitive[order[:count]] = True
+            sensitive = _largest_channels(values, study.bitwave_sensitive_fraction)
+            return bitflip_tensor(
+                values, argument, sensitive_channels=sensitive, keep_original=False
+            ).values
+    elif method == "bbs":
+        preset = argument
+
+        def compress(name: str, values: np.ndarray, scales: np.ndarray) -> np.ndarray:
+            del name, scales
             return prune_tensor(
                 values,
                 preset.num_columns,
                 preset.strategy,
                 group_size=preset.group_size,
-                sensitive_channels=sensitive,
+                sensitive_channels=_largest_channels(values, preset.beta),
                 keep_original=False,
             ).values
+    else:
+        raise ValueError(f"unknown MLP compression method {method!r}")
+    return compress
 
-        return compress
 
-    def bitwave(columns: int):
-        def compress(name: str, values: np.ndarray, scales: np.ndarray) -> np.ndarray:
-            del name, scales
-            count = int(np.ceil(0.10 * values.shape[0]))
-            order = np.argsort(-np.abs(values).max(axis=1), kind="stable")
-            sensitive = np.zeros(values.shape[0], dtype=bool)
-            sensitive[order[:count]] = True
-            return bitflip_tensor(
-                values, columns, sensitive_channels=sensitive, keep_original=False
-            ).values
+def _mlp_study(study: MLPStudy) -> list[dict]:
+    """Figure 11's end-to-end MLP rows, memoized on the whole ``study``.
 
-        return compress
+    The rows are plain dicts of a label and two floats, so a per-row copy
+    is a private copy: a caller mutating them cannot poison later hits.
+    """
+    return memoized_evaluation(
+        ("figure11 MLP study", study),
+        lambda: _run_mlp_study(study),
+        clone=lambda rows: [dict(row) for row in rows],
+    )
 
-    def ptq(bits: int):
-        def compress(name: str, values: np.ndarray, scales: np.ndarray) -> np.ndarray:
-            del name
-            quantized = quantize_per_channel(values.astype(np.float64) * scales[:, None], 8)
-            return requantize_to_lower_bits(quantized, bits).values
 
-        return compress
-
-    return {
-        "INT8 baseline": lambda name, values, scales: values,
-        "PTQ (6-bit)": ptq(6),
-        "PTQ (4-bit)": ptq(4),
-        "BitWave (4 cols)": bitwave(4),
-        "BBS conservative": bbs(CONSERVATIVE_PRESET),
-        "BBS moderate": bbs(MODERATE_PRESET),
-    }
+def _run_mlp_study(study: MLPStudy) -> list[dict]:
+    dataset = make_classification_dataset(
+        num_samples=study.num_samples,
+        num_features=study.num_features,
+        num_classes=study.num_classes,
+        test_fraction=study.test_fraction,
+        seed=study.seed,
+    )
+    mlp = MLPClassifier(
+        dataset.num_features, dataset.num_classes, study.hidden_sizes, seed=study.seed
+    )
+    mlp.train(
+        dataset,
+        epochs=study.epochs,
+        batch_size=study.batch_size,
+        learning_rate=study.learning_rate,
+        seed=study.seed,
+    )
+    baseline = mlp.evaluate(dataset.test_x, dataset.test_y)
+    rows = []
+    for label, method, argument in study.compressors:
+        compressor = _mlp_compressor(method, argument, study)
+        accuracy = accuracy_under_compression(mlp, dataset, compressor)
+        rows.append(
+            {
+                "method": label,
+                "test_accuracy": accuracy,
+                "accuracy_loss_vs_fp32": baseline - accuracy,
+            }
+        )
+    return rows
 
 
 # --------------------------------------------------------------------------- #
@@ -454,7 +528,8 @@ def figure11_accuracy(
     Reports, per benchmark model, the weight-distribution KL divergence of each
     method (the paper's own explanatory proxy) plus the effective bit width,
     and — once, since it is model-independent — the measured accuracy drop of
-    each method on the end-to-end MLP task.
+    each method on the end-to-end MLP task (:data:`FIGURE11_MLP_STUDY` at
+    ``seed``, memoized whole, so a repeat call looks its rows up).
     """
     models = models or ["ResNet-34", "ResNet-50", "ViT-Small", "ViT-Base"]
     methods = ["ptq6", "ptq4", "bitwave2", "bitwave4", "bbs_cons", "bbs_mod"]
@@ -476,23 +551,7 @@ def figure11_accuracy(
                 }
             )
 
-    mlp_rows = []
-    if include_mlp:
-        dataset = make_classification_dataset(
-            num_samples=6000, num_features=64, num_classes=16, seed=seed
-        )
-        mlp = MLPClassifier(dataset.num_features, dataset.num_classes, (192, 128), seed=seed)
-        mlp.train(dataset, epochs=25, seed=seed)
-        baseline = mlp.evaluate(dataset.test_x, dataset.test_y)
-        for name, compressor in _mlp_compressors().items():
-            accuracy = accuracy_under_compression(mlp, dataset, compressor)
-            mlp_rows.append(
-                {
-                    "method": name,
-                    "test_accuracy": accuracy,
-                    "accuracy_loss_vs_fp32": baseline - accuracy,
-                }
-            )
+    mlp_rows = _mlp_study(replace(FIGURE11_MLP_STUDY, seed=seed)) if include_mlp else []
     return {
         "rows": rows,
         "mlp_rows": mlp_rows,

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functional as F
-from ..core.hashing import stable_digest
-from ..core.memo import get_memo
 from ..quant.ptq import quantize_per_channel
 
 __all__ = [
@@ -140,41 +138,13 @@ class MLPClassifier:
     ) -> float:
         """Train with Adam and return the final test accuracy (percent).
 
-        Training is deterministic in its arguments and the starting weights,
-        so it is memoized process-wide (see :mod:`repro.core.memo`): a repeat
-        copies the trained weights and biases into this classifier's arrays,
-        exactly as training would leave them, and returns the same accuracy.
-        ``verbose`` runs always train, so the per-epoch lines are printed.
+        Training updates this classifier's weights and biases in place and
+        is deterministic in its arguments and the starting weights.  It is
+        not memoized itself: figure 11, its only caller in the experiments,
+        memoizes its whole MLP study instead (see :mod:`repro.core.memo`).
+        ``verbose`` prints the test accuracy after every epoch.
         """
-        memo = get_memo()
-        memo_key = None
-        if memo.enabled and not verbose:
-            memo_key = stable_digest(
-                "MLPClassifier.train",
-                self.sizes,
-                self.weights,
-                self.biases,
-                dataset.train_x,
-                dataset.train_y,
-                dataset.test_x,
-                dataset.test_y,
-                epochs,
-                batch_size,
-                learning_rate,
-                seed,
-            )
-            cached = memo.models.get(memo_key)
-            if cached is not None:
-                trained, accuracy = cached
-                for array, values in zip(self.weights + self.biases, trained, strict=True):
-                    np.copyto(array, values)
-                return accuracy
-
-        accuracy = self._train(dataset, epochs, batch_size, learning_rate, seed, verbose)
-        if memo_key is not None:
-            trained = [array.copy() for array in self.weights + self.biases]
-            memo.models.put(memo_key, (trained, accuracy))
-        return accuracy
+        return self._train(dataset, epochs, batch_size, learning_rate, seed, verbose)
 
     def _train(
         self,

@@ -15,10 +15,13 @@ context is active becomes a child of it.  Propagation:
 * **Across the journal**: a job's ``trace_id`` rides in its submit record, so
   replayed jobs keep their trace identity after a restart.
 
-Finished spans fan out to sinks: an in-memory ring buffer
-(:class:`TraceBuffer`, backing ``GET /v1/jobs/<id>/trace``) and optionally a
-JSONL :class:`TraceLog` next to the job journal.  Sink errors are swallowed —
-observability is best-effort by design, like the journal.
+Finished spans fan out to the process-wide sinks — an in-memory ring buffer
+(:class:`TraceBuffer`, backing ``GET /v1/jobs/<id>/trace``) — and to the
+:class:`TraceLog` that was current when the span started, if any.  A server
+makes its JSONL log next to the job journal current (:func:`logging_to`) in
+its request handlers and workers, so with several servers in one process
+each log holds only the spans its own server started.  Sink errors are
+swallowed — observability is best-effort by design, like the journal.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ __all__ = [
     "activate",
     "build_span_tree",
     "current_context",
+    "current_log",
     "format_traceparent",
     "get_recorder",
+    "logging_to",
     "new_trace_id",
     "parse_traceparent",
     "span",
@@ -101,6 +106,26 @@ def current_context() -> TraceContext | None:
     return _current.get()
 
 
+_log: contextvars.ContextVar[TraceLog | None] = contextvars.ContextVar(
+    "repro_trace_log", default=None
+)
+
+
+def current_log() -> TraceLog | None:
+    """The trace log spans started in this thread/task are written to, if any."""
+    return _log.get()
+
+
+@contextlib.contextmanager
+def logging_to(log: TraceLog | None) -> Iterator[None]:
+    """Write the spans started in the ``with`` body to ``log`` (``None``: to no log)."""
+    token = _log.set(log)
+    try:
+        yield
+    finally:
+        _log.reset(token)
+
+
 @dataclass
 class Span:
     """One timed operation inside a trace.
@@ -119,6 +144,8 @@ class Span:
     status: str = "ok"
     error: str | None = None
     attrs: dict[str, Any] = field(default_factory=dict)
+    #: The log this span is written to besides the recorder's sinks.
+    log: TraceLog | None = field(default_factory=current_log, repr=False)
     _start_pc: float = field(default_factory=time.perf_counter, repr=False)
     _finished: bool = field(default=False, repr=False)
 
@@ -315,7 +342,8 @@ class TraceLog:
 
 
 class SpanRecorder:
-    """Fans finished spans out to registered sinks, swallowing sink errors."""
+    """Fans finished spans out to registered sinks and each span's own log,
+    swallowing sink errors."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -338,6 +366,8 @@ class SpanRecorder:
         record = span_obj.to_dict()
         with self._lock:
             sinks = list(self._sinks)
+        if span_obj.log is not None:
+            sinks.append(span_obj.log)
         for sink in sinks:
             try:
                 sink(record)

@@ -290,7 +290,8 @@ class HTTPHandler(BaseHTTPRequestHandler):
         route *pattern* and runs inside a :attr:`span_name` span — joined to
         the caller's trace when the request carried an ``X-Repro-Trace``
         header, freshly minted otherwise — so jobs submitted by the route
-        become its children.
+        become its children.  The spans the request starts are written to
+        this server's :attr:`~HTTPServerBase.trace_log`, not to another's.
 
         A server that has stopped listening drops the request unanswered:
         the client sees the connection close, as it would on a stopped
@@ -309,22 +310,23 @@ class HTTPHandler(BaseHTTPRequestHandler):
                 break
         label = self.route.pattern if self.route is not None else "unrouted"
         self._observed_status = 0  # 0 = connection died before a response
-        request_span = obs_trace.start_span(
-            self.span_name,
-            attrs={"method": self.command, "route": label, "path": self.url.path},
-            parent=obs_trace.parse_traceparent(
-                self.headers.get(obs_trace.TRACE_HEADER)
-            ),
-        )
-        started = time.perf_counter()
-        try:
-            with obs_trace.activate(request_span):
-                self._dispatch(params)
-        finally:
-            status = self._observed_status
-            request_span.set_attr("status", status)
-            request_span.finish(status="error" if status >= 500 or status == 0 else "ok")
-            self.record_request(label, status, time.perf_counter() - started)
+        with obs_trace.logging_to(self.server.trace_log):
+            request_span = obs_trace.start_span(
+                self.span_name,
+                attrs={"method": self.command, "route": label, "path": self.url.path},
+                parent=obs_trace.parse_traceparent(
+                    self.headers.get(obs_trace.TRACE_HEADER)
+                ),
+            )
+            started = time.perf_counter()
+            try:
+                with obs_trace.activate(request_span):
+                    self._dispatch(params)
+            finally:
+                status = self._observed_status
+                request_span.set_attr("status", status)
+                request_span.finish(status="error" if status >= 500 or status == 0 else "ok")
+                self.record_request(label, status, time.perf_counter() - started)
 
     def _dispatch(self, params: list[str]) -> None:
         """Run the matched route inside the error envelope.
@@ -430,6 +432,9 @@ class HTTPServerBase(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    #: Where the spans this server's handlers start are logged (``None``:
+    #: only the process-wide recorder sees them).
+    trace_log: obs_trace.TraceLog | None = None
     #: Seconds a keep-alive connection may sit idle before the server closes
     #: it, so idle clients do not pin handler threads.  Clients reopen a
     #: connection the server closed (see ``repro.service.client``).

@@ -506,11 +506,10 @@ class ReproServer(HTTPServerBase):
         #: Where ``GET /v1/results`` reads from (read-only); ``None`` -> 503.
         self.warehouse_path = warehouse_path
         # Spans already flow to the process-wide in-memory ring; a trace log
-        # additionally persists them as JSONL next to the journal.
+        # additionally persists the spans this server's handlers and workers
+        # start as JSONL next to the journal.
         self.recorder = obs_trace.get_recorder()
         self.trace_log = trace_log
-        if trace_log is not None:
-            self.recorder.add_sink(trace_log)
         self.pool = WorkerPool(
             registry,
             cache=cache,
@@ -518,6 +517,7 @@ class ReproServer(HTTPServerBase):
             use_processes=use_processes,
             max_queued=max_queued,
             journal=journal,
+            trace_log=trace_log,
         )
         self.replay_stats: dict | None = None
         if journal is not None:
@@ -535,7 +535,6 @@ class ReproServer(HTTPServerBase):
         if self.journal is not None:
             self.journal.close()
         if self.trace_log is not None:
-            self.recorder.remove_sink(self.trace_log)
             self.trace_log.close()
 
     def graceful_close(self) -> dict:
@@ -558,7 +557,6 @@ class ReproServer(HTTPServerBase):
         if self.journal is not None:
             self.journal.close()
         if self.trace_log is not None:
-            self.recorder.remove_sink(self.trace_log)
             self.trace_log.close()
         return {
             "inflight": inflight,

@@ -134,7 +134,12 @@ def _process_run(job_type: str, params: dict):
 
 
 class WorkerPool:
-    """Thread/process pool executing registry jobs with caching and dedup."""
+    """Thread/process pool executing registry jobs with caching and dedup.
+
+    The spans of its jobs, and the spans their bodies start, are written to
+    ``trace_log``; by default to the trace log current where the pool is
+    built, so a campaign's pool inside a node's job logs to that node.
+    """
 
     def __init__(
         self,
@@ -145,6 +150,7 @@ class WorkerPool:
         use_processes: bool = False,
         max_queued: int | None = None,
         journal: JobJournal | None = None,
+        trace_log: obs_trace.TraceLog | None = None,
     ):
         if max_queued is not None and max_queued < 1:
             raise ValueError("max_queued must be >= 1 (or None for unbounded)")
@@ -154,6 +160,7 @@ class WorkerPool:
         self.use_processes = use_processes
         self.max_queued = max_queued
         self._journal = journal
+        self.trace_log = trace_log if trace_log is not None else obs_trace.current_log()
         if use_processes:
             from .registry import build_default_registry
 
@@ -272,6 +279,7 @@ class WorkerPool:
             name="job.run",
             trace_id=job.trace_id or obs_trace.new_trace_id(),
             parent_id=job.parent_span_id,
+            log=self.trace_log,
             attrs={
                 "job_id": job.job_id,
                 "scenario": job.job_type,
@@ -529,7 +537,7 @@ class WorkerPool:
         token = _CURRENT_JOB.set(job)
         finished_here = False
         try:
-            with obs_trace.activate(job_span):
+            with obs_trace.logging_to(self.trace_log), obs_trace.activate(job_span):
                 maybe_fail("worker.run")
                 result = self.registry.run(job.job_type, job.params)
             # Store before marking done: once a client sees DONE, the cache

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core import CONSERVATIVE_PRESET
+from repro.core.memo import clear_memo, memo_disabled, memo_stats
 from repro.eval import experiments as exp
 from repro.eval.benchmarks import ACCELERATOR_NAMES, BENCHMARK_MODEL_NAMES, BenchmarkSuite
 from repro.eval.reporting import format_table, geometric_mean
+from repro.nn.trainer import MLPClassifier
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +106,18 @@ class TestAccuracyExperiments:
         mlp_loss = {row["method"]: row["accuracy_loss_vs_fp32"] for row in result["mlp_rows"]}
         assert mlp_loss["BBS moderate"] <= mlp_loss["PTQ (4-bit)"] + 1e-9
 
+    def test_warm_figure11_only_looks_things_up(self, monkeypatch):
+        first = exp.json_payload(exp.figure11_accuracy(models=["ResNet-34"], seed=0))
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("a warm figure 11 must not recompute")
+
+        monkeypatch.setattr(exp, "accuracy_under_compression", recompute)
+        monkeypatch.setattr(exp, "make_classification_dataset", recompute)
+        monkeypatch.setattr(MLPClassifier, "_train", recompute)
+        second = exp.json_payload(exp.figure11_accuracy(models=["ResNet-34"], seed=0))
+        assert second == first
+
     def test_table2_bbs_beats_ant(self):
         rows = exp.table2_ant_comparison()["rows"]
         for row in rows:
@@ -113,6 +130,87 @@ class TestAccuracyExperiments:
             subset = {row["method"]: row for row in rows if row["model"] == model}
             assert subset["BBS (mod)"]["mean_kl"] < subset["Microscaling (6-bit)"]["mean_kl"]
             assert subset["BBS (mod)"]["mean_kl"] < subset["NoisyQuant (6-bit)"]["mean_kl"]
+
+
+#: Figure 11's MLP study shrunk to a few milliseconds of training.
+SMALL_STUDY = replace(
+    exp.FIGURE11_MLP_STUDY,
+    num_samples=300,
+    num_features=8,
+    num_classes=3,
+    hidden_sizes=(16,),
+    epochs=2,
+)
+
+
+def _with_conservative_preset(study, preset):
+    compressors = tuple(
+        (label, method, preset if label == "BBS conservative" else argument)
+        for label, method, argument in study.compressors
+    )
+    return replace(study, compressors=compressors)
+
+
+class TestMLPStudyMemo:
+    def test_repeat_is_an_evaluations_hit_with_identical_rows(self):
+        clear_memo()
+        with memo_disabled():
+            cold = exp._mlp_study(SMALL_STUDY)
+        first = exp._mlp_study(SMALL_STUDY)
+        before = memo_stats()["evaluations"]
+        second = exp._mlp_study(SMALL_STUDY)
+        after = memo_stats()["evaluations"]
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+        assert first == second == cold
+        assert [row["method"] for row in cold] == [
+            label for label, _, _ in SMALL_STUDY.compressors
+        ]
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            replace(SMALL_STUDY, seed=1),
+            _with_conservative_preset(SMALL_STUDY, replace(CONSERVATIVE_PRESET, num_columns=3)),
+        ],
+        ids=["seed", "preset"],
+    )
+    def test_changed_seed_or_preset_is_a_miss(self, changed):
+        clear_memo()
+        exp._mlp_study(SMALL_STUDY)
+        before = memo_stats()["evaluations"]
+        rows = exp._mlp_study(changed)
+        after = memo_stats()["evaluations"]
+        assert after["hits"] == before["hits"]
+        assert after["misses"] == before["misses"] + 1
+        with memo_disabled():
+            assert rows == exp._mlp_study(changed)
+
+    def test_mutating_returned_rows_does_not_poison_later_hits(self):
+        clear_memo()
+        first = exp._mlp_study(SMALL_STUDY)
+        expected = [dict(row) for row in first]
+        first[0]["test_accuracy"] = -1.0
+        first.append({"method": "extra"})
+        hit = exp._mlp_study(SMALL_STUDY)
+        assert hit == expected
+        hit[1]["method"] = "renamed"
+        hit.pop()
+        assert exp._mlp_study(SMALL_STUDY) == expected
+        assert memo_stats()["evaluations"]["hits"] == 2
+
+    def test_memo_disabled_always_computes(self, monkeypatch):
+        clear_memo()
+        runs = []
+        run = exp._run_mlp_study
+        monkeypatch.setattr(exp, "_run_mlp_study", lambda study: runs.append(study) or run(study))
+        memoized = exp._mlp_study(SMALL_STUDY)
+        with memo_disabled():
+            assert exp._mlp_study(SMALL_STUDY) == memoized
+            assert exp._mlp_study(SMALL_STUDY) == memoized
+        assert len(runs) == 3
+        stats = memo_stats()["evaluations"]
+        assert (stats["hits"], stats["misses"], stats["stores"]) == (0, 1, 1)
 
 
 class TestAcceleratorExperiments:

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from repro.core.memo import clear_memo, memo_disabled, memo_stats
 from repro.core.sparsity import sparsity_report
 from repro.nn.layers import (
     Conv2d,
@@ -272,6 +269,16 @@ class TestTrainer:
         with pytest.raises(ValueError):
             model.with_weight_matrices({"fc0": np.zeros((1, 1))})
 
+    def test_verbose_prints_each_epoch(self, capsys):
+        dataset = make_classification_dataset(num_samples=300, num_features=8,
+                                              num_classes=3, seed=0)
+        model = MLPClassifier(dataset.num_features, dataset.num_classes, (16,), seed=0)
+        accuracy = model.train(dataset, epochs=2, verbose=True)
+        out = capsys.readouterr().out
+        assert "epoch   1: test accuracy" in out
+        assert "epoch   2: test accuracy" in out
+        assert accuracy == model.evaluate(dataset.test_x, dataset.test_y)
+
     def test_dataset_properties(self):
         dataset = make_classification_dataset(num_samples=400, num_features=16,
                                               num_classes=4, seed=1)
@@ -279,92 +286,3 @@ class TestTrainer:
         assert dataset.num_classes == 4
         assert len(dataset.train_x) + len(dataset.test_x) <= 400
         assert set(np.unique(dataset.train_y)) <= set(range(4))
-
-
-class TestTrainerMemo:
-    @pytest.fixture(scope="class")
-    def dataset(self):
-        return make_classification_dataset(num_samples=300, num_features=8,
-                                           num_classes=3, seed=0)
-
-    @staticmethod
-    def train(dataset, init_seed=0, **kwargs):
-        model = MLPClassifier(dataset.num_features, dataset.num_classes, (16,), seed=init_seed)
-        accuracy = model.train(dataset, **{"epochs": 2, **kwargs})
-        return model, accuracy
-
-    @staticmethod
-    def assert_same_model(a, b):
-        for left, right in zip(a.weights + a.biases, b.weights + b.biases, strict=True):
-            assert np.array_equal(left, right)
-
-    def test_repeat_is_a_hit_with_identical_weights(self, dataset):
-        clear_memo()
-        with memo_disabled():
-            cold, cold_accuracy = self.train(dataset)
-        first, first_accuracy = self.train(dataset)
-        before = memo_stats()["models"]
-        second, second_accuracy = self.train(dataset)
-        after = memo_stats()["models"]
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-        assert first_accuracy == second_accuracy == cold_accuracy
-        self.assert_same_model(first, cold)
-        self.assert_same_model(second, cold)
-        assert second.evaluate(dataset.test_x, dataset.test_y) == cold_accuracy
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"learning_rate": 2e-3},
-            {"epochs": 3},
-            {"init_seed": 1},
-            {"seed": 1},
-            {"dataset": "one train value"},
-        ],
-        ids=["learning_rate", "epochs", "init_seed", "shuffle_seed", "dataset"],
-    )
-    def test_changed_input_is_a_miss(self, dataset, change):
-        clear_memo()
-        self.train(dataset)
-        change = dict(change)
-        if change.pop("dataset", None):
-            train_x = dataset.train_x.copy()
-            train_x[0, 0] += 1.0
-            dataset = dataclasses.replace(dataset, train_x=train_x)
-        before = memo_stats()["models"]
-        model, accuracy = self.train(dataset, **change)
-        after = memo_stats()["models"]
-        assert after["hits"] == before["hits"]
-        assert after["misses"] == before["misses"] + 1
-        with memo_disabled():
-            cold, cold_accuracy = self.train(dataset, **change)
-        assert accuracy == cold_accuracy
-        self.assert_same_model(model, cold)
-
-    def test_mutating_trained_weights_does_not_poison_the_memo(self, dataset):
-        clear_memo()
-        first, _ = self.train(dataset)
-        expected = [array.copy() for array in first.weights + first.biases]
-        for array in first.weights + first.biases:
-            array[...] = 0.0
-        second, _ = self.train(dataset)
-        assert memo_stats()["models"]["hits"] == 1
-        for array, values in zip(second.weights + second.biases, expected, strict=True):
-            assert np.array_equal(array, values)
-
-    def test_memo_disabled_always_trains(self, dataset):
-        clear_memo()
-        with memo_disabled():
-            self.train(dataset)
-            self.train(dataset)
-        stats = memo_stats()["models"]
-        assert stats["hits"] == 0 and stats["misses"] == 0 and stats["stores"] == 0
-
-    def test_verbose_always_trains(self, dataset, capsys):
-        clear_memo()
-        self.train(dataset)
-        model, accuracy = self.train(dataset, verbose=True)
-        assert "epoch   2" in capsys.readouterr().out
-        assert memo_stats()["models"]["hits"] == 0
-        assert accuracy == self.train(dataset)[1]

@@ -15,6 +15,7 @@ import pytest
 
 from repro.campaign import parse_spec
 from repro.campaign.dispatch import CampaignDispatcher
+from repro.gateway import GatewayAgent, create_gateway
 from repro.obs import trace as obs_trace
 from repro.obs.trace import (
     TraceBuffer,
@@ -332,3 +333,85 @@ class TestFederatedSpanTree:
         ]
         assert len(job_spans) == 1
         assert _names(job_spans[0]["children"]) == ["codec.compress"]
+
+
+class TestTraceLogPerServer:
+    """A server's ``trace.jsonl`` holds the spans its own handlers and
+    workers started, even with other servers in the same process."""
+
+    def test_routed_job_lands_only_in_its_nodes_log(self, tmp_path):
+        gateway = create_gateway(port=0, state_dir=str(tmp_path / "gateway"))
+        nodes = [
+            create_server(port=0, max_workers=1, journal_dir=str(tmp_path / f"node{index}"))
+            for index in range(2)
+        ]
+        threads = [
+            threading.Thread(target=server.serve_forever, daemon=True)
+            for server in (gateway, *nodes)
+        ]
+        for thread in threads:
+            thread.start()
+        gateway_url = f"http://127.0.0.1:{gateway.port}"
+        agents = []
+        try:
+            for server in nodes:
+                agent = GatewayAgent(
+                    gateway_url, f"http://127.0.0.1:{server.port}", server,
+                    heartbeat_interval=30.0,
+                )
+                agent.start()
+                agents.append(agent)
+            record = ServiceClient(gateway_url).submit(
+                "codec_compress",
+                {"codec": "prune", "rows": 16, "cols": 64, "seed": 43},
+                wait=30.0,
+            )
+            assert record["state"] == "done"
+        finally:
+            for agent in agents:
+                agent.stop()
+            for server in (gateway, *nodes):
+                server.close()
+            for thread in threads:
+                thread.join(timeout=10)
+
+        logs = [server.trace_log.read() for server in nodes]
+        ran = [
+            index for index, server in enumerate(nodes)
+            if any(job.trace_id == record["trace_id"] for job in server.pool.store.jobs())
+        ]
+        assert len(ran) == 1
+        own, other = logs[ran[0]], logs[1 - ran[0]]
+
+        job_spans = [span for span in own if span["trace_id"] == record["trace_id"]]
+        assert {"http.request", "job.run", "codec.compress"} <= {s["name"] for s in job_spans}
+        assert not [span for span in other if span["trace_id"] == record["trace_id"]]
+        for log in logs:
+            assert "gateway.request" not in {span["name"] for span in log}
+        assert not {s["span_id"] for s in own} & {s["span_id"] for s in other}
+
+    def test_lone_server_logs_its_request_job_and_codec_spans(self, tmp_path):
+        server = create_server(port=0, max_workers=1, journal_dir=str(tmp_path / "node"))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            record = ServiceClient(f"http://127.0.0.1:{server.port}").submit(
+                "codec_compress",
+                {
+                    "rows": 16, "cols": 64, "seed": 44,
+                    "stages": [{"codec": "prune"}, {"codec": "ptq", "params": {"bits": 4}}],
+                },
+                wait=30.0,
+            )
+            assert record["state"] == "done"
+        finally:
+            server.close()
+            thread.join(timeout=10)
+
+        names = [
+            span["name"] for span in server.trace_log.read()
+            if span["trace_id"] == record["trace_id"]
+        ]
+        assert sorted(names) == [
+            "codec.compress", "http.request", "job.run", "pipeline.stage", "pipeline.stage",
+        ]
