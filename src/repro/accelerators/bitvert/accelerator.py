@@ -21,6 +21,7 @@ Figures 12/13.
 from __future__ import annotations
 
 import copy
+from typing import Mapping
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class BitVertAccelerator(BitSerialAccelerator):
 
     # ------------------------------------------------------------- compression
     def compress_model(
-        self, model: ModelSpec, weights: dict[str, LayerWeights]
+        self, model: ModelSpec, weights: Mapping[str, LayerWeights]
     ) -> dict[str, PrunedTensor]:
         """Run global binary pruning over all layers and cache the result.
 
@@ -91,7 +92,7 @@ class BitVertAccelerator(BitSerialAccelerator):
         return dict(result.pruned_layers)
 
     def for_model(
-        self, model: ModelSpec, weights: dict[str, LayerWeights]
+        self, model: ModelSpec, weights: Mapping[str, LayerWeights]
     ) -> "BitVertAccelerator":
         """A copy holding this model's global pruning (Algorithm 2)."""
         scoped = copy.copy(self)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field, replace
 from math import ceil
+from typing import Mapping
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .area_power import PEDesign
 from ..core.memo import memoized_evaluation
 from ..memory.hierarchy import MemorySystem, MemoryTraffic
 from ..nn.model_zoo import ModelSpec
-from ..nn.synthetic import LayerWeights, layer_digests
+from ..nn.synthetic import LayerWeights, weights_key
 from ..nn.workloads import GemmWorkload, layer_workload
 
 __all__ = [
@@ -365,7 +366,7 @@ class Accelerator:
         return config
 
     def for_model(
-        self, model: ModelSpec, weights: dict[str, LayerWeights]
+        self, model: ModelSpec, weights: Mapping[str, LayerWeights]
     ) -> "Accelerator":
         """The accelerator that evaluates ``model``'s layers.
 
@@ -377,20 +378,22 @@ class Accelerator:
         return self
 
     def run_model(
-        self, model: ModelSpec, weights: dict[str, LayerWeights]
+        self, model: ModelSpec, weights: Mapping[str, LayerWeights]
     ) -> ModelPerformance:
         """Evaluate a whole model given its (synthetic) per-layer weights.
 
         Memoized (:func:`~repro.core.memo.memoized_evaluation`) on
-        :meth:`configuration`, the model spec and the ordered layer digests.
-        The key covers the whole model, not each layer, because an
-        evaluation may depend on every layer (BitVert's global pruning).
+        :meth:`configuration`, the model spec's digest and
+        :func:`~repro.nn.synthetic.weights_key` (the digest synthesized
+        weights carry, so a hit costs nothing per layer).  The key covers the
+        whole model, not each layer, because an evaluation may depend on
+        every layer (BitVert's global pruning).
         """
         key = (
             "Accelerator.run_model",
             self.configuration(),
             model.digest,
-            layer_digests(weights),
+            weights_key(weights),
         )
         return memoized_evaluation(
             key,
@@ -399,7 +402,7 @@ class Accelerator:
         )
 
     def _run_layers(
-        self, model: ModelSpec, weights: dict[str, LayerWeights]
+        self, model: ModelSpec, weights: Mapping[str, LayerWeights]
     ) -> ModelPerformance:
         result = ModelPerformance(
             accelerator=self.name, model=model.name, clock_ghz=self.array.clock_ghz

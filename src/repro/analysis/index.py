@@ -27,11 +27,6 @@ class FileContext:
     tree: ast.Module
     suppressions: dict[int, set[str]]
 
-    @property
-    def display_path(self) -> str:
-        """The path as findings should print it (repo-relative when possible)."""
-        return str(self.path)
-
 
 @dataclasses.dataclass
 class FunctionInfo:

@@ -389,9 +389,11 @@ class CampaignRunner:
         }
         if timing is not None:
             payload["timing"] = to_jsonable(timing)
+        # Compact: ``indent`` would send ``json.dumps`` through the pure-Python
+        # encoder, and no reader needs the file pretty.
         _write_atomic(
             self._result_path(job.digest),
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
         )
 
     # ------------------------------------------------------------------ #

@@ -116,12 +116,6 @@ class CampaignGrid:
         """Swept axes in sorted key order (the deterministic cell order)."""
         return [(key, list(self.sweep[key])) for key in sorted(self.sweep)]
 
-    def cell_count(self) -> int:
-        count = 1
-        for _, values in self.axes():
-            count *= len(values)
-        return count
-
     def cells(self) -> Iterable[dict[str, Any]]:
         """Yield the merged parameter dict of every cell, row-major.
 

@@ -182,13 +182,16 @@ class ResultCache:
     def _write_to_disk(self, key: str, value: Any) -> None:
         maybe_fail("cache.disk_write")
         path = self._path(key)
+        # ``json.dumps`` runs the C encoder (``json.dump`` streams through the
+        # pure-Python one) and fails on a bad value before any file exists.
+        text = json.dumps(value, allow_nan=False)
         # Unique tmp file per writer: concurrent stores of the same key must
         # not interleave into one tmp file before the atomic rename.
         with tempfile.NamedTemporaryFile(
             "w", dir=path.parent, prefix=f".{key}.", suffix=".tmp", delete=False
         ) as handle:
             try:
-                json.dump(value, handle, allow_nan=False)
+                handle.write(text)
             except BaseException:
                 # A half-written tmp file must not outlive the failed store.
                 handle.close()

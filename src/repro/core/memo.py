@@ -12,8 +12,8 @@ Three :class:`~repro.core.cache.ResultCache` instances (the PR 1 machinery,
 memory-only) are keyed by :func:`~repro.core.hashing.stable_digest` of the
 full input:
 
-* ``models`` — ``synthesize_model`` outputs, keyed by the model spec, seed,
-  statistics, and sampling caps;
+* ``models`` — ``synthesize_model`` outputs, keyed by the model spec's
+  digest, seed, statistics, and sampling caps;
 * ``tensors`` — ``prune_tensor`` results, keyed by the weight array (or the
   carried digest of a synthesized layer) and the complete pruning
   configuration (columns, strategy, group size, word width, sensitive-channel
@@ -21,18 +21,33 @@ full input:
 * ``evaluations`` — whole-model results of the deterministic evaluators,
   through :func:`memoized_evaluation`: ``Accelerator.run_model`` keyed by the
   accelerator's configuration (design class, array, memory, design
-  parameters), the model spec and the ordered ``(layer name, layer digest)``
-  pairs, and the figure 11/16 model compressions keyed by the method, group
-  size and the same pairs.  The key is per model, not per layer, because
+  parameters), the model spec's digest and the weights' key, and the
+  figure 11/16 model compressions keyed by the method, group size and the
+  same weights' key.  The key is per model, not per layer, because
   BitVert selects its sensitive channels across the whole model.  Figure
   11's end-to-end MLP study is one entry too: its rows, keyed by the whole
   ``MLPStudy`` record that drives it (dataset arguments, hidden sizes,
   epochs, batch size, learning rate, compressor line-up and seed), so a warm
   figure 11 neither builds the dataset nor trains nor compresses.
 
-A layer digest is computed once, when ``synthesize_layer`` builds the
-:class:`~repro.nn.synthetic.LayerWeights`, whose arrays are then frozen
-(``writeable=False``), so the digest cannot go stale.
+Keys cost O(1) in model size, because the digests are carried, not
+recomputed:
+
+* a layer digest is computed once, when ``synthesize_layer`` builds the
+  :class:`~repro.nn.synthetic.LayerWeights`, whose arrays are then frozen
+  (``writeable=False``), so the digest cannot go stale;
+* ``synthesize_model`` returns a read-only
+  :class:`~repro.nn.synthetic.ModelWeights` carrying one digest over its
+  ordered ``(layer name, layer digest)`` pairs, and that digest is the
+  weights' key (:func:`~repro.nn.synthetic.weights_key`).  A plain dict
+  or any other mapping is keyed by its current pairs instead, so it never
+  shares an entry with synthesized weights;
+* ``ModelSpec.digest`` is cached on the frozen spec, and ``get_model``
+  returns one shared spec per name, so it is computed once per process.
+
+What is left to hash per lookup is small (an accelerator configuration, a
+method name); :func:`~repro.core.hashing.stable_digest` encodes it into one
+byte string and hashes that once.
 
 Cache invalidation is therefore automatic: any change to any input — a
 different seed, cap, preset, mask, or a single weight — produces a different

@@ -25,6 +25,8 @@ reference's tie-break.  The original per-candidate implementation is kept as
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .bitplane import _validated, int_range
@@ -149,7 +151,7 @@ def zero_point_shift_groups(
     vmin = int(groups.min())
     span = int(groups.max()) - vmin + 1
     sq_error, decoded, extreme_row = _rounding_tables(
-        vmin, span, candidates, num_columns, bits
+        vmin, span, num_columns, bits, constant_bits
     )
     codes = groups - vmin
     max_codes = codes.max(axis=1)
@@ -176,10 +178,15 @@ def zero_point_shift_groups(
     return values, redundant, num_columns - redundant, candidates[best_row % num_candidates]
 
 
+@lru_cache(maxsize=32)
 def _rounding_tables(
-    vmin: int, span: int, candidates: np.ndarray, num_columns: int, bits: int
+    vmin: int, span: int, num_columns: int, bits: int, constant_bits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tabulate Algorithm 1 over every weight value ``v`` in ``vmin + range(span)``.
+
+    ``candidates`` are :func:`_constant_candidates` of ``constant_bits``.  The
+    tables depend only on the arguments, and a pass over a model asks for a
+    handful of distinct ones, so they are cached and returned read-only.
 
     Returns ``(sq_error, decoded, extreme_row)``.  The first two are
     ``(R * C, span)``: row ``r * C + j`` holds redundant count ``r`` and
@@ -195,6 +202,7 @@ def _rounding_tables(
     members', which is reached at its max or min, so a group's row under
     candidate ``j`` is the smaller of its extremes' rows.
     """
+    candidates = _constant_candidates(constant_bits)
     lo, hi = int_range(bits)
     shift = candidates.astype(np.int32)[None, :, None]
     unclipped = np.arange(vmin, vmin + span, dtype=np.int32) + shift
@@ -214,7 +222,10 @@ def _rounding_tables(
     chosen = np.where((up <= up_limit) & (err_up < err_down), up, down)
     error = (chosen - unclipped).astype(np.float32).reshape(-1, span)
     decoded = (chosen - shift).astype(np.int64).reshape(-1, span)
-    return error * error, decoded, extreme_row
+    tables = (error * error, decoded, extreme_row)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def zero_point_shift_groups_reference(

@@ -34,7 +34,7 @@ from ..core.global_pruning import CONSERVATIVE_PRESET, MODERATE_PRESET
 from ..core.hashing import stable_digest
 from ..obs.timing import timed
 from ..nn.model_zoo import ModelSpec, get_model
-from ..nn.synthetic import LayerWeights, synthesize_model
+from ..nn.synthetic import ModelWeights, synthesize_model
 
 __all__ = [
     "BenchmarkSuite",
@@ -88,7 +88,7 @@ class BenchmarkSuite:
     array: ArrayConfig = field(default_factory=ArrayConfig)
     #: Process-pool width for :meth:`performances`; 1 means run in-process.
     jobs: int = 1
-    _weights: dict[str, dict[str, LayerWeights]] = field(default_factory=dict, repr=False)
+    _weights: dict[str, ModelWeights] = field(default_factory=dict, repr=False)
     _models: dict[str, ModelSpec] = field(default_factory=dict, repr=False)
 
     def model(self, name: str) -> ModelSpec:
@@ -96,7 +96,7 @@ class BenchmarkSuite:
             self._models[name] = get_model(name)
         return self._models[name]
 
-    def weights(self, name: str) -> dict[str, LayerWeights]:
+    def weights(self, name: str) -> ModelWeights:
         if name not in self._weights:
             self._weights[name] = synthesize_model(
                 self.model(name),

@@ -53,7 +53,7 @@ from ..core import (
     sparsity_report,
 )
 from ..nn.model_zoo import get_model, llama3_8b
-from ..nn.synthetic import LayerWeights, layer_digests, synthesize_model
+from ..nn.synthetic import LayerWeights, synthesize_model, weights_key
 from ..nn.trainer import (
     MLPClassifier,
     accuracy_under_compression,
@@ -120,7 +120,7 @@ def json_payload(result: dict) -> dict:
 # --------------------------------------------------------------------------- #
 
 
-def _sensitive_masks(weights: dict[str, LayerWeights], beta: float, ch: int = 32):
+def _sensitive_masks(weights: Mapping[str, LayerWeights], beta: float, ch: int = 32):
     """Per-layer sensitive-channel masks using the global selection of Algorithm 2."""
     from ..core.global_pruning import select_sensitive_channels
 
@@ -140,7 +140,7 @@ class CompressionOutcome:
 
 
 def _compress_model(
-    weights: dict[str, LayerWeights],
+    weights: Mapping[str, LayerWeights],
     method: str | PruningPreset,
     group_size: int = 32,
 ) -> CompressionOutcome:
@@ -153,14 +153,14 @@ def _compress_model(
     global binary pruning with that preset.
 
     Memoized (:func:`~repro.core.memo.memoized_evaluation`) on the method,
-    the group size and the ordered layer digests.
+    the group size and :func:`~repro.nn.synthetic.weights_key` of the weights.
     """
-    key = ("_compress_model", method, group_size, layer_digests(weights))
+    key = ("_compress_model", method, group_size, weights_key(weights))
     return memoized_evaluation(key, lambda: _compress_layers(weights, method, group_size))
 
 
 def _compress_layers(
-    weights: dict[str, LayerWeights], method: str | PruningPreset, group_size: int
+    weights: Mapping[str, LayerWeights], method: str | PruningPreset, group_size: int
 ) -> CompressionOutcome:
     kls: list[float] = []
     mses: list[float] = []

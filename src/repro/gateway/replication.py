@@ -236,12 +236,3 @@ class ReplicaStore:
     def job_view(self, node_id: str, job_id: str) -> dict | None:
         """The replica's view of one job (``{"submit", "finish"}``) or None."""
         return self._fold(node_id, job_id=job_id).get(job_id)
-
-    def node_ids(self) -> list[str]:
-        root = self.directory / "replicas"
-        with self._lock:
-            if not root.exists():
-                return []
-            return sorted(
-                entry.name for entry in root.iterdir() if entry.is_dir()
-            )

@@ -98,13 +98,3 @@ class HashRing:
             if owner not in excluded:
                 return owner
         return None
-
-    def assignments(self, keys: Iterable[str], exclude: Iterable[str] = ()) -> dict[str, str]:
-        """``{key: member}`` for every key (testing/inspection helper)."""
-        excluded = tuple(exclude)
-        result: dict[str, str] = {}
-        for key in keys:
-            owner = self.route(key, exclude=excluded)
-            if owner is not None:
-                result[key] = owner
-        return result

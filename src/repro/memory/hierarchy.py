@@ -44,10 +44,6 @@ class MemoryTraffic:
     def dram_total_bytes(self) -> float:
         return self.dram_weight_bytes + self.dram_activation_bytes + self.dram_output_bytes
 
-    @property
-    def sram_total_bytes(self) -> float:
-        return self.sram_weight_bytes + self.sram_activation_bytes + self.sram_output_bytes
-
     def scaled(self, factor: float) -> "MemoryTraffic":
         """Scale all byte counts (used for layers with a repeat count)."""
         return MemoryTraffic(

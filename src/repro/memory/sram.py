@@ -81,10 +81,6 @@ class SramBuffer:
         """Macro area in mm^2 (linear in capacity with a small fixed overhead)."""
         return 0.002 + self._AREA_MM2_PER_KB * self.capacity_kb
 
-    def bandwidth_bytes_per_cycle(self) -> float:
-        """Bytes deliverable per cycle through the access port."""
-        return self.port_bits / 8.0
-
     def scaled(self, capacity_bytes: int) -> "SramBuffer":
         """A copy of this buffer with a different capacity."""
         return SramBuffer(

@@ -19,7 +19,7 @@ a multiplicity so very large models (Llama-3-8B) stay cheap to analyse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from ..core.hashing import stable_digest
 
@@ -133,10 +133,6 @@ class ModelSpec:
     def digest(self) -> str:
         """Content digest of the whole spec, computed once (the spec is frozen)."""
         return stable_digest("ModelSpec", self)
-
-    def unique_layers(self) -> list[tuple[LayerSpec, int]]:
-        """Layers with their repeat counts (identical blocks described once)."""
-        return [(layer, layer.repeat) for layer in self.layers]
 
     @property
     def total_weights(self) -> int:
@@ -397,8 +393,13 @@ def benchmark_models() -> list[ModelSpec]:
     ]
 
 
+@cache
 def get_model(name: str) -> ModelSpec:
-    """Look up a benchmark model by its paper name (e.g. ``"ResNet-50"``)."""
+    """Look up a benchmark model by its paper name (e.g. ``"ResNet-50"``).
+
+    Every call with one name returns the same frozen :class:`ModelSpec`, so
+    its cached :attr:`ModelSpec.digest` is computed once per process.
+    """
     if name not in MODEL_BUILDERS:
         raise KeyError(f"unknown model {name!r}; available: {sorted(MODEL_BUILDERS)}")
     return MODEL_BUILDERS[name]()

@@ -25,11 +25,11 @@ full dimensions on record, so that even Llama-3-8B can be analysed in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .model_zoo import Conv2dSpec, LayerSpec, LinearSpec, ModelSpec
+from .model_zoo import LayerSpec, ModelSpec
 from ..core.hashing import stable_digest
 from ..core.memo import get_memo
 from ..quant.ptq import QuantizedTensor, quantize_per_channel
@@ -37,6 +37,7 @@ from ..quant.ptq import QuantizedTensor, quantize_per_channel
 __all__ = [
     "WeightStatistics",
     "LayerWeights",
+    "ModelWeights",
     "DEFAULT_CNN_STATS",
     "DEFAULT_TRANSFORMER_STATS",
     "synthesize_float_weights",
@@ -44,6 +45,7 @@ __all__ = [
     "synthesize_model",
     "synthesize_activations",
     "layer_digests",
+    "weights_key",
 ]
 
 
@@ -146,6 +148,62 @@ def layer_digests(weights: Mapping[str, LayerWeights]) -> list[tuple[str, str]]:
     return [(name, layer.digest) for name, layer in weights.items()]
 
 
+class ModelWeights(Mapping[str, LayerWeights]):
+    """Read-only ``layer name -> LayerWeights`` mapping of one synthesized model.
+
+    It carries :attr:`digest`, one digest over its :func:`layer_digests`
+    pairs, computed once at construction; the mapping rejects item
+    assignment and its layers' arrays are frozen, so the digest cannot go
+    stale.  Memo keys of whole-model evaluations use it (see
+    :func:`weights_key`) instead of re-hashing every layer.
+    """
+
+    __slots__ = ("_layers", "_digest")
+
+    def __init__(self, layers: Mapping[str, LayerWeights]):
+        self._layers = dict(layers)
+        self._digest = stable_digest("ModelWeights", layer_digests(self._layers))
+
+    @property
+    def digest(self) -> str:
+        return self._digest
+
+    def __getitem__(self, name: str) -> LayerWeights:
+        return self._layers[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._layers)
+
+    def __len__(self) -> int:
+        return len(self._layers)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._layers
+
+    def keys(self):
+        return self._layers.keys()
+
+    def items(self):
+        return self._layers.items()
+
+    def values(self):
+        return self._layers.values()
+
+
+def weights_key(weights: Mapping[str, LayerWeights]) -> str | list[tuple[str, str]]:
+    """The memo-key part for a model's weights.
+
+    A :class:`ModelWeights` gives its carried digest, so keying
+    :func:`synthesize_model` output costs nothing per layer.  Any other
+    mapping (a plain dict, a subset, a copy with a layer replaced) gives its
+    current :func:`layer_digests` pairs.  The two forms hash apart, so such a
+    mapping never shares a memo entry with synthesized weights.
+    """
+    if isinstance(weights, ModelWeights):
+        return weights.digest
+    return layer_digests(weights)
+
+
 def _stats_for_family(family: str) -> WeightStatistics:
     if family == "cnn":
         return DEFAULT_CNN_STATS
@@ -226,11 +284,12 @@ def synthesize_model(
     max_channels: int = 512,
     max_reduction: int = 4096,
     group_size: int = 32,
-) -> dict[str, LayerWeights]:
+) -> ModelWeights:
     """Generate synthetic weights for every (unique) layer of a model.
 
-    Returns a dict keyed by layer name, in the model's layer order.  The seed
-    is derived per layer so adding or removing layers does not reshuffle the
+    Returns a read-only :class:`ModelWeights` keyed by layer name, in the
+    model's layer order, carrying the digest of its layers.  The seed is
+    derived per layer so adding or removing layers does not reshuffle the
     weights of the others.
 
     Generation is deterministic in its arguments, so results are memoized
@@ -241,11 +300,17 @@ def synthesize_model(
     memo_key = None
     if memo.enabled:
         memo_key = stable_digest(
-            "synthesize_model", model, seed, stats, max_channels, max_reduction, group_size
+            "synthesize_model",
+            model.digest,
+            seed,
+            stats,
+            max_channels,
+            max_reduction,
+            group_size,
         )
         cached = memo.models.get(memo_key)
         if cached is not None:
-            return dict(cached)
+            return cached
 
     weights: dict[str, LayerWeights] = {}
     for index, layer in enumerate(model.layers):
@@ -259,9 +324,10 @@ def synthesize_model(
             max_reduction=max_reduction,
             group_size=group_size,
         )
+    result = ModelWeights(weights)
     if memo_key is not None:
-        memo.models.put(memo_key, dict(weights))
-    return weights
+        memo.models.put(memo_key, result)
+    return result
 
 
 def synthesize_activations(
@@ -290,11 +356,3 @@ def synthesize_activations(
     values = rng.normal(0.0, hi / 4.0, size=count)
     gelu_like = np.where(values < 0, values * 0.15, values)
     return np.clip(np.round(gelu_like), -(hi + 1), hi).astype(np.int64)
-
-
-def _is_conv(spec: LayerSpec) -> bool:
-    return isinstance(spec, Conv2dSpec)
-
-
-def _is_linear(spec: LayerSpec) -> bool:
-    return isinstance(spec, LinearSpec)

@@ -271,6 +271,26 @@ class TestRunner:
             == (reference.run_dir / "report.csv").read_bytes()
         )
 
+    def test_resume_over_indented_checkpoints_is_byte_identical(self, tmp_path):
+        reference = run_full(tmp_path, "reference", jobs=1)
+        interrupted = CampaignRunner(parse_spec(SPEC), tmp_path / "resumed", max_jobs=4)
+        interrupted.run()
+        checkpoints = sorted((tmp_path / "resumed" / "results").glob("*.json"))
+        assert len(checkpoints) == 4
+        for path in checkpoints:
+            text = path.read_text()
+            assert text.count("\n") == 1  # written compact, one line
+            # Rewrite as earlier versions did: indented.
+            indented = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+            path.write_text(indented)
+
+        stats = CampaignRunner.resume(tmp_path / "resumed", jobs=2).run()
+        assert stats["executed"] == 2 and stats["skipped_checkpointed"] == 4
+        for name in ("report.json", "report.csv"):
+            assert (tmp_path / "resumed" / name).read_bytes() == (
+                reference.run_dir / name
+            ).read_bytes()
+
     def test_resume_on_complete_run_recomputes_nothing(self, tmp_path):
         runner = run_full(tmp_path, "noop", jobs=1)
         again = CampaignRunner.resume(runner.run_dir)

@@ -50,7 +50,7 @@ from repro.core.zero_point_shift import (
 from repro.eval.benchmarks import BenchmarkSuite
 from repro.eval.experiments import FIGURE16_BITVERT_SWEEP, _compress_model
 from repro.nn.model_zoo import get_model
-from repro.nn.synthetic import synthesize_model
+from repro.nn.synthetic import ModelWeights, layer_digests, synthesize_model
 from repro.quant.ant_datatype import ant_quantize, ant_quantize_reference
 from repro.quant.bitflip import _bitflip_batch, _bitflip_batch_reference
 from repro.quant.ptq import optimal_clip_scale, optimal_clip_scale_reference
@@ -198,6 +198,19 @@ class TestZeroPointShiftEquivalence:
         assert len(calls) == reference_calls
         for new, ref in zip(fast, expected, strict=True):
             assert np.array_equal(new, ref)
+
+    def test_rounding_tables_cached_read_only(self):
+        tables = zero_point_shift_module._rounding_tables
+        tables.cache_clear()
+        groups = np.array([[-5, 3, 7, 0], [2, 2, -1, 6]])
+        first = zero_point_shift_groups(groups, 3)
+        again = zero_point_shift_groups(groups, 3)
+        assert tables.cache_info().hits == 1 and tables.cache_info().misses == 1
+        for table in tables(-5, 13, 3, 8, 6):
+            assert not table.flags.writeable
+        for new, ref in zip(again, first, strict=True):
+            assert np.array_equal(new, ref)
+        assert_search_matches(groups, 3)
 
     def test_empty_inputs(self):
         assert_search_matches(np.empty((0, 8), dtype=np.int64), 4)
@@ -890,6 +903,17 @@ def assert_fresh_evaluation(accel, model, weights) -> None:
     assert dataclasses.asdict(result) == dataclasses.asdict(expected)
 
 
+def derive_weights(model, weights, derive: str) -> dict:
+    """A plain dict derived from synthesized ``weights``."""
+    derived = dict(weights)
+    if derive == "subset":
+        del derived[model.layers[-1].name]
+    elif derive == "replaced":
+        name = model.layers[1].name
+        derived[name] = synthesize_model(model, seed=1, **EVAL_CAPS)[name]
+    return derived
+
+
 class TestEvaluationMemo:
     @pytest.mark.parametrize("accel_name", EVALUATION_ACCELERATORS)
     @pytest.mark.parametrize("model_name", ["ResNet-50", "ViT-Small"])
@@ -937,6 +961,32 @@ class TestEvaluationMemo:
         reseeded = synthesize_model(model, seed=1, **EVAL_CAPS)
         assert_fresh_evaluation(BitVertAccelerator(MODERATE_PRESET), model, reseeded)
 
+    def test_warm_hit_does_not_iterate_the_layers(self, eval_models, monkeypatch):
+        model, weights = eval_models["ResNet-50"]
+        assert isinstance(weights, ModelWeights)
+        clear_memo()
+        accel = BitVertAccelerator(MODERATE_PRESET)
+        expected = dataclasses.asdict(accel.run_model(model, weights))
+
+        def untouchable(*args):
+            raise AssertionError("a memo hit read the layer mapping")
+
+        for name in ("__iter__", "__getitem__", "__len__", "__contains__", "keys", "items",
+                     "values"):
+            monkeypatch.setattr(ModelWeights, name, untouchable)
+        hit = accel.run_model(model, weights)
+        assert memo_stats()["evaluations"]["hits"] == 1
+        assert dataclasses.asdict(hit) == expected
+
+    @pytest.mark.parametrize("derive", ["copy", "replaced"])
+    def test_derived_mappings_miss_and_match_memo_off(self, eval_models, derive):
+        model, weights = eval_models["ResNet-50"]
+        derived = derive_weights(model, weights, derive)
+        for accel in (BitVertAccelerator(MODERATE_PRESET), StripesAccelerator()):
+            clear_memo()
+            accel.run_model(model, weights)
+            assert_fresh_evaluation(accel, model, derived)
+
     def test_mutating_a_result_does_not_poison_the_memo(self, eval_models):
         model, weights = eval_models["ViT-Small"]
         clear_memo()
@@ -981,6 +1031,18 @@ class TestEvaluationMemo:
             assert evaluation_misses() == before + 1
             with memo_disabled():
                 assert result == _compress_model(layers, method, group_size)
+
+    @pytest.mark.parametrize("derive", ["copy", "subset", "replaced"])
+    def test_compress_model_derived_mappings_miss(self, eval_models, derive):
+        model, weights = eval_models["ResNet-50"]
+        derived = derive_weights(model, weights, derive)
+        for method in ("bbs_mod", "bitwave"):
+            clear_memo()
+            _compress_model(weights, method)
+            result = _compress_model(derived, method)
+            assert evaluation_misses() == 2
+            with memo_disabled():
+                assert result == _compress_model(derived, method)
 
     def test_memo_off_and_clear_cover_evaluations(self, eval_models):
         model, weights = eval_models["ResNet-50"]
@@ -1034,6 +1096,22 @@ class TestSynthesizedWeightsAreFrozen:
         digests = {variant.digest for variant in variants}
         assert len(digests) == len(variants) and layer.digest not in digests
 
+    def test_mapping_is_read_only_and_carries_its_digest(self, eval_models):
+        _, weights = eval_models["ViT-Small"]
+        name = next(iter(weights))
+        with pytest.raises(TypeError):
+            weights[name] = weights[name]
+        with pytest.raises(TypeError):
+            del weights[name]
+        with pytest.raises(AttributeError):
+            weights.digest = "0" * 64
+        assert weights.digest == stable_digest("ModelWeights", layer_digests(weights))
+        assert list(weights) == [layer.name for layer in get_model("ViT-Small").layers]
+
+    def test_get_model_shares_one_spec_per_name(self):
+        assert get_model("ResNet-50") is get_model("ResNet-50")
+        assert get_model("ResNet-50") is not get_model("ResNet-34")
+
     def test_memo_hit_model_carries_the_same_digests(self):
         model = get_model("BERT-MRPC")
         clear_memo()
@@ -1042,6 +1120,7 @@ class TestSynthesizedWeightsAreFrozen:
         assert memo_stats()["models"]["hits"] == 1
         with memo_disabled():
             cold = synthesize_model(model, seed=5, **EVAL_CAPS)
+        assert hit is first and hit.digest == cold.digest
         for name, layer in first.items():
             assert hit[name].digest == layer.digest == cold[name].digest
             assert not hit[name].int_weights.flags.writeable

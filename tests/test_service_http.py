@@ -241,6 +241,24 @@ class TestCampaignEndpoint:
         # Same wrapped job => the result cache serves the repeat instantly.
         assert payload["result"]["spec_digest"]
 
+    def test_client_submit_campaign(self, base):
+        from repro.service.client import ServiceClient, ServiceRequestError
+
+        client = ServiceClient(base, retries=0)
+        record = client.submit_campaign(CAMPAIGN_SPEC, jobs=2, wait=120)
+        assert record["state"] == "done"
+        report = record["result"]
+        assert report["campaign"] == "http-campaign"
+        assert [cell["cell"] for cell in report["cells"]] == ["quant/0", "quant/1"]
+        # The same body through the raw route is the same job.
+        status, payload = post(
+            base, "/v1/campaign?wait=120", {"spec": CAMPAIGN_SPEC, "jobs": 2}
+        )
+        assert status == 200 and payload["result"] == report
+        with pytest.raises(ServiceRequestError) as excinfo:
+            client.submit_campaign({"name": "x"})
+        assert excinfo.value.status == 400
+
     def test_invalid_specs_and_fields_are_400(self, base):
         assert post(base, "/v1/campaign", {"spec": {"name": "x"}})[0] == 400
         assert post(base, "/v1/campaign", {"spec": CAMPAIGN_SPEC, "jobs": 0})[0] == 400
