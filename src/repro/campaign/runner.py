@@ -15,12 +15,10 @@ dispatched runs: it visits the grid DAG in topological order, leaves the
 dependents of a failed grid pending, applies the ``max_jobs`` budget, and
 writes the report once the manifest is checkpointed.  Executing a grid's
 cells is the executor's job.  The local executor (:meth:`CampaignRunner.run`)
-ships them to a :class:`repro.service.workers.WorkerPool` (threads by
-default, processes on request) — so a campaign is sharded across workers
-exactly like service traffic, and identical cells inside one run collapse
-onto a single computation through the pool's content-hash
-:class:`~repro.core.cache.ResultCache` (worker processes additionally reuse
-model/tensor artifacts through :mod:`repro.core.memo`).  The endpoint
+ships them to the worker threads of a :class:`repro.service.workers.WorkerPool`
+— so a campaign is sharded across workers exactly like service traffic, and
+identical cells inside one run collapse onto a single computation through
+the pool's content-hash :class:`~repro.core.cache.ResultCache`.  The endpoint
 executor lives in :mod:`repro.campaign.dispatch`.
 
 Checkpoints make runs resumable: a cell whose ``results/<digest>.json``
@@ -31,6 +29,9 @@ aggregate is byte-identical to an uninterrupted run.  Multi-machine sharding
 uses the same mechanism: ``shard 2/4`` runs every grid's cells with
 ``index % 4 == 2`` into a shared run directory, and the report is written by
 whichever shard completes the manifest last (or by ``repro campaign report``).
+Concurrent shard processes into one run directory are also how one machine
+puts more cores on a campaign; ``repro campaign dispatch --nodes`` spreads it
+over nodes.
 """
 
 from __future__ import annotations
@@ -117,7 +118,6 @@ class CampaignRunner:
         spec: CampaignSpec,
         run_dir: str | Path,
         jobs: int = 1,
-        use_processes: bool = False,
         shard_index: int = 0,
         shard_count: int = 1,
         max_jobs: int | None = None,
@@ -134,7 +134,6 @@ class CampaignRunner:
         #: (``repro campaign run --ingest DB``); ``None`` disables.
         self.ingest_db = ingest_db
         self.jobs = jobs
-        self.use_processes = use_processes
         self.shard_index = shard_index
         self.shard_count = shard_count
         self.max_jobs = max_jobs
@@ -258,7 +257,6 @@ class CampaignRunner:
                 self.registry,
                 cache=ResultCache(max_entries=max(256, len(shard_plan.jobs))),
                 max_workers=self.jobs,
-                use_processes=self.use_processes,
             )
 
             def run_grid(grid_name: str, pending: list[CampaignJob]) -> list:

@@ -14,7 +14,7 @@ Examples::
     python -m repro.cli table5 --json
     python -m repro.cli ablations
     python -m repro.cli all --fast --jobs 4
-    python -m repro.cli serve --port 8000 --workers 4 --processes
+    python -m repro.cli serve --port 8000 --workers 4
     python -m repro.cli campaign run examples/campaign_pruning_grid.json --jobs 2
     python -m repro.cli campaign resume runs/pruning-grid-0123456789ab
     python -m repro.cli campaign report runs/pruning-grid-0123456789ab
@@ -96,12 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=8000)
     serve_parser.add_argument("--workers", type=int, default=2, help="worker threads")
-    serve_parser.add_argument(
-        "--processes",
-        action="store_true",
-        help="run jobs on worker processes instead of threads "
-        "(sidesteps the GIL for compression-heavy jobs)",
-    )
     serve_parser.add_argument("--cache-size", type=int, default=256, help="in-memory LRU entries")
     serve_parser.add_argument(
         "--cache-dir", default=None, help="persist cached results to this directory"
@@ -215,11 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def _add_execution_flags(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--jobs", type=int, default=1, help="worker-pool width")
-        sub.add_argument(
-            "--processes",
-            action="store_true",
-            help="run cells on worker processes instead of threads",
-        )
         sub.add_argument(
             "--shard",
             default=None,
@@ -562,20 +551,23 @@ def _serve(args: argparse.Namespace) -> int:
     import threading
 
     from .chaos.plan import get_plan
-    from .service.server import create_server
+    from .service.server import V1_ROUTES, create_server
 
-    server = create_server(
-        host=args.host,
-        port=args.port,
-        max_workers=args.workers,
-        cache_size=args.cache_size,
-        cache_dir=args.cache_dir,
-        use_processes=args.processes,
-        verbose=args.verbose,
-        max_queued=args.max_queued,
-        journal_dir=args.journal,
-        warehouse_path=args.warehouse,
-    )
+    try:
+        server = create_server(
+            host=args.host,
+            port=args.port,
+            max_workers=args.workers,
+            cache_size=args.cache_size,
+            cache_dir=args.cache_dir,
+            verbose=args.verbose,
+            max_queued=args.max_queued,
+            journal_dir=args.journal,
+            warehouse_path=args.warehouse,
+        )
+    except ValueError as error:  # a bad pool size, e.g. --workers 0
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     # Graceful shutdown: the first SIGTERM/SIGINT unblocks serve_forever and
     # lets the drain below run; a second signal means "now" and aborts.
     # server.shutdown() must not be called on the thread inside
@@ -603,9 +595,8 @@ def _serve(args: argparse.Namespace) -> int:
             graceful = False  # non-main thread or exotic platform
 
     host, port = server.server_address[0], server.port
-    worker_kind = "processes" if args.processes else "threads"
     print(f"repro service listening on http://{host}:{port}")
-    print(f"  scenarios: {len(server.registry)}  workers: {args.workers} {worker_kind}")
+    print(f"  scenarios: {len(server.registry)}  workers: {args.workers}")
     if args.journal:
         replay = server.replay_stats or {}
         print(
@@ -621,11 +612,8 @@ def _serve(args: argparse.Namespace) -> int:
     chaos_plan = get_plan()
     if chaos_plan is not None:
         print(f"  chaos: REPRO_CHAOS active with {len(chaos_plan.rules)} rule(s)")
-    print(
-        "  endpoints: /v1/health /v1/scenarios /v1/codecs /v1/compress /v1/jobs "
-        "/v1/results /v1/cache/stats /v1/metrics  "
-        "(Ctrl-C / SIGTERM for graceful shutdown)"
-    )
+    paths = sorted({name.split(" ", 1)[1] for name in V1_ROUTES})
+    print(f"  endpoints: {' '.join(paths)}  (Ctrl-C / SIGTERM for graceful shutdown)")
     agent = None
     if args.register:
         from .gateway import GatewayAgent
@@ -969,7 +957,6 @@ def _campaign(args: argparse.Namespace) -> int:
         shard_index, shard_count = _parse_shard(args.shard)
         options = dict(
             jobs=args.jobs,
-            use_processes=args.processes,
             shard_index=shard_index,
             shard_count=shard_count,
             max_jobs=args.max_jobs,

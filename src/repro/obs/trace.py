@@ -1,4 +1,4 @@
-"""Trace spans with context propagation across threads, processes, and HTTP.
+"""Trace spans with context propagation across threads and HTTP.
 
 A trace is a tree of spans sharing one ``trace_id``.  The id is minted at the
 first instrumented boundary a request crosses — HTTP ingress, CLI entry, or
@@ -156,25 +156,12 @@ class Span:
     def set_attr(self, key: str, value: Any) -> None:
         self.attrs[key] = value
 
-    def finish(
-        self,
-        status: str | None = None,
-        error: str | None = None,
-        duration: float | None = None,
-    ) -> None:
-        """Close the span and emit it to the recorder's sinks.
-
-        ``duration`` overrides the measured wall clock — used when the real
-        execution happened elsewhere (process-pool workers measure their own
-        run time and the parent backfills it).
-        """
+    def finish(self, status: str | None = None, error: str | None = None) -> None:
+        """Close the span and emit it to the recorder's sinks."""
         if self._finished:
             return
         self._finished = True
-        self.duration = (
-            float(duration) if duration is not None
-            else time.perf_counter() - self._start_pc
-        )
+        self.duration = time.perf_counter() - self._start_pc
         if status is not None:
             self.status = status
         if error is not None:

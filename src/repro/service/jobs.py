@@ -59,7 +59,7 @@ class Job:
     #: ``job.run`` span to the HTTP request (or campaign cell) that caused it.
     trace_id: str | None = None
     parent_span_id: str | None = None
-    #: Which worker executed the job (thread name, or "process-pool").
+    #: Which worker thread executed the job.
     worker: str | None = None
     #: Wall-clock budget from submission; expired jobs become
     #: ``FAILED: deadline`` (enforced by the worker pool's deadline timers).
@@ -102,21 +102,6 @@ class Job:
         self.started_at = time.time()
         self._started_pc = time.perf_counter()
         self.queue_seconds = self._started_pc - self._submitted_pc
-
-    def backfill_running(self, run_seconds: float) -> None:
-        """Retroactively record a remote execution window.
-
-        Process-pool workers run the job body in another process, where this
-        object does not exist; the worker measures its own run duration and
-        the completion callback replays it here just before ``mark_done`` /
-        ``mark_failed``, so ``queue_seconds``/``run_seconds`` stay accurate
-        (the job reads as QUEUED while remotely executing).
-        """
-        now_pc = time.perf_counter()
-        self.state = JobState.RUNNING
-        self._started_pc = now_pc - run_seconds
-        self.started_at = time.time() - run_seconds
-        self.queue_seconds = max(self._started_pc - self._submitted_pc, 0.0)
 
     def mark_done(self, result: Any, cache_hit: bool = False) -> bool:
         with self._transition_lock:

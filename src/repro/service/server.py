@@ -488,13 +488,21 @@ class ReproServer(HTTPServerBase):
         registry: ScenarioRegistry,
         cache: ResultCache,
         max_workers: int = 2,
-        use_processes: bool = False,
         verbose: bool = False,
         max_queued: int | None = None,
         journal: JobJournal | None = None,
         trace_log: TraceLog | None = None,
         warehouse_path: str | None = None,
     ):
+        # The pool first: a bad pool size fails before the socket is bound.
+        self.pool = WorkerPool(
+            registry,
+            cache=cache,
+            max_workers=max_workers,
+            max_queued=max_queued,
+            journal=journal,
+            trace_log=trace_log,
+        )
         super().__init__(address, NodeHandler, verbose)
         self.registry = registry
         #: What a gateway admits this node by (``GET /v1/health``).
@@ -510,15 +518,6 @@ class ReproServer(HTTPServerBase):
         # start as JSONL next to the journal.
         self.recorder = obs_trace.get_recorder()
         self.trace_log = trace_log
-        self.pool = WorkerPool(
-            registry,
-            cache=cache,
-            max_workers=max_workers,
-            use_processes=use_processes,
-            max_queued=max_queued,
-            journal=journal,
-            trace_log=trace_log,
-        )
         self.replay_stats: dict | None = None
         if journal is not None:
             self.replay_stats = journal.replay(self.pool)
@@ -574,7 +573,6 @@ def create_server(
     max_workers: int = 2,
     cache_size: int = 256,
     cache_dir: str | None = None,
-    use_processes: bool = False,
     verbose: bool = False,
     max_queued: int | None = None,
     journal_dir: str | None = None,
@@ -582,10 +580,9 @@ def create_server(
 ) -> ReproServer:
     """Build a ready-to-serve :class:`ReproServer` (``port=0`` -> ephemeral).
 
-    ``use_processes=True`` runs jobs on worker processes (the compression
-    workloads are partly GIL-bound); process workers rebuild the *default*
-    registry, so combine it with a custom ``registry`` only if that registry
-    is the default one.
+    Jobs run on ``max_workers`` threads.  More cores come from more nodes:
+    ``repro serve --register`` behind ``repro gateway``.  A bad pool size
+    (``max_workers`` or ``max_queued`` below 1) is a ``ValueError``.
 
     ``journal_dir`` makes the service durable: jobs are journaled to
     ``<journal_dir>/journal.jsonl`` and replayed on startup, and — unless an
@@ -616,7 +613,6 @@ def create_server(
         registry,
         cache,
         max_workers=max_workers,
-        use_processes=use_processes,
         verbose=verbose,
         max_queued=max_queued,
         journal=journal,

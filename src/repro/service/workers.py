@@ -1,5 +1,4 @@
-"""Worker pool: executes registry jobs on threads or processes, with caching
-and dedup.
+"""Worker pool: executes registry jobs on threads, with caching and dedup.
 
 Submission path (all under one lock, so concurrent clients agree):
 
@@ -28,21 +27,12 @@ Failure semantics hardened here:
   timer racing a completing worker never double-books metrics or journal
   lines.  The deadline is **not** part of the content digest — the same work
   under a different budget is still the same work.
-* **Crashed workers** — in process mode a dead worker process raises
-  ``BrokenProcessPool`` on every pending future; each affected job fails
-  with a diagnostic instead of hanging forever, and the executor is rebuilt
-  so the pool stays usable.
 
-Threads are the default: numpy releases the GIL for its heavy kernels.  But
-the compression workloads also spend real time in Python glue (grouping,
-scheduling, reporting), so ``use_processes=True`` swaps in a
-``ProcessPoolExecutor``.  Worker processes rebuild the *default* registry on
-first use and benefit from their own artifact memo (:mod:`repro.core.memo`);
-a registry with job types outside the default set is rejected at
-construction because the processes could not run them.  A process-mode job
-reads as QUEUED until it completes (the parent cannot observe the remote
-start), but its ``queue_seconds``/``run_seconds`` are accurate: the worker
-measures its own run time and the completion callback backfills it.
+Jobs run on threads: numpy releases the GIL for its heavy kernels, and a
+job body shares the node's caches, memo, trace log and chaos plan.  More
+cores come from more processes, not from this pool: nodes registered behind
+a gateway (``repro serve --register``), ``repro campaign dispatch --nodes``,
+or concurrent ``repro campaign run --shard I/N`` into one run directory.
 """
 
 from __future__ import annotations
@@ -51,8 +41,7 @@ import contextvars
 import threading
 import time
 import traceback
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future, ThreadPoolExecutor
 
 from ..chaos.plan import maybe_fail
 from ..core.cache import MISSING, ResultCache
@@ -79,8 +68,7 @@ def job_digest(job_type: str, params: dict) -> str:
     return stable_digest("repro-job", job_type, params)
 
 
-#: The job a worker thread is currently executing (threads only; a process
-#: body cannot see the parent's Job object).
+#: The job a worker thread is currently executing.
 _CURRENT_JOB: contextvars.ContextVar[Job | None] = contextvars.ContextVar(
     "repro_current_job", default=None
 )
@@ -113,28 +101,8 @@ class QueueFullError(RuntimeError):
         )
 
 
-#: Lazily-built default registry of a worker process (one per process).
-_process_registry: ScenarioRegistry | None = None
-
-
-def _process_run(job_type: str, params: dict):
-    """Process-pool worker: run one job against the default registry.
-
-    Returns ``(run_seconds, result)`` — the worker's own wall-clock
-    measurement travels back so the parent can backfill accurate timing.
-    """
-    global _process_registry
-    if _process_registry is None:
-        from .registry import build_default_registry
-
-        _process_registry = build_default_registry()
-    start = time.perf_counter()
-    result = _process_registry.run(job_type, params)
-    return time.perf_counter() - start, result
-
-
 class WorkerPool:
-    """Thread/process pool executing registry jobs with caching and dedup.
+    """Thread pool executing registry jobs with caching and dedup.
 
     The spans of its jobs, and the spans their bodies start, are written to
     ``trace_log``; by default to the trace log current where the pool is
@@ -147,36 +115,23 @@ class WorkerPool:
         cache: ResultCache | None = None,
         max_workers: int = 2,
         store: JobStore | None = None,
-        use_processes: bool = False,
         max_queued: int | None = None,
         journal: JobJournal | None = None,
         trace_log: obs_trace.TraceLog | None = None,
     ):
+        if max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
         if max_queued is not None and max_queued < 1:
             raise ValueError("max_queued must be >= 1 (or None for unbounded)")
         self.registry = registry
         self.cache = cache if cache is not None else ResultCache()
         self.store = store if store is not None else JobStore()
-        self.use_processes = use_processes
         self.max_queued = max_queued
         self._journal = journal
         self.trace_log = trace_log if trace_log is not None else obs_trace.current_log()
-        if use_processes:
-            from .registry import build_default_registry
-
-            unknown = set(registry.names()) - set(build_default_registry().names())
-            if unknown:
-                raise ValueError(
-                    "use_processes=True supports only default-registry job "
-                    f"types; unknown in worker processes: {sorted(unknown)}"
-                )
-            self._executor: ProcessPoolExecutor | ThreadPoolExecutor = (
-                ProcessPoolExecutor(max_workers=max_workers)
-            )
-        else:
-            self._executor = ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-worker"
-            )
+        self._executor = ThreadPoolExecutor(
+            max_workers=max_workers, thread_name_prefix="repro-worker"
+        )
         self.max_workers = max_workers
         self._lock = threading.Lock()
         self._inflight: dict[str, str] = {}  # digest -> job_id
@@ -188,7 +143,6 @@ class WorkerPool:
         self._cancelled = 0
         self._rejected = 0
         self._expired = 0
-        self._broken_rebuilds = 0
         #: EWMA of observed job run durations, feeding the Retry-After hint.
         self._run_ewma: float | None = None
 
@@ -284,7 +238,6 @@ class WorkerPool:
                 "job_id": job.job_id,
                 "scenario": job.job_type,
                 "cache_hit": job.cache_hit,
-                "worker_kind": "process" if self.use_processes else "thread",
                 "worker": threading.current_thread().name,
             },
         )
@@ -440,56 +393,12 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
 
     def _dispatch(self, job: Job) -> None:
-        try:
-            future = self._submit_to_executor(job)
-        except BrokenProcessPool:
-            # The executor died before this job could even be enqueued (a
-            # worker crashed under an earlier job).  Rebuild once and retry.
-            self._rebuild_executor()
-            try:
-                future = self._submit_to_executor(job)
-            except BrokenProcessPool:
-                if job.mark_failed(
-                    "worker pool broken: a worker process crashed and the "
-                    "rebuilt pool is also unusable"
-                ):
-                    self._observe_finish(job)
-                    self._record_finish(job)
-                    self._cleanup(job)
-                return
+        future = self._executor.submit(self._execute, job)
         with self._lock:
             # A fast job may already be finished (its cleanup saw no entry);
             # only track futures whose jobs can still be cancelled.
             if not job.state.finished:
                 self._futures[job.job_id] = future
-
-    def _submit_to_executor(self, job: Job) -> Future:
-        with self._lock:
-            executor = self._executor
-        if self.use_processes:
-            # The job body runs in another process; bookkeeping happens here
-            # via the future's completion callback (an executor thread).
-            future = executor.submit(_process_run, job.job_type, job.params)
-            future.add_done_callback(
-                lambda fut, job=job: self._finish_process_job(job, fut)
-            )
-        else:
-            future = executor.submit(self._execute, job)
-        return future
-
-    def _rebuild_executor(self) -> None:
-        """Replace a broken process executor so the pool stays usable."""
-        if not self.use_processes:
-            return
-        with self._lock:
-            # Several pending futures crash together and every callback calls
-            # in; only the first rebuild of a still-broken executor proceeds.
-            if not getattr(self._executor, "_broken", True):
-                return
-            old = self._executor
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-            self._broken_rebuilds += 1
-        old.shutdown(wait=False)
 
     def _record_submit(self, job: Job) -> None:
         if self._journal is not None:
@@ -558,46 +467,6 @@ class WorkerPool:
                 self._record_finish(job)
                 self._cleanup(job)
 
-    def _finish_process_job(self, job: Job, future: Future) -> None:
-        """Completion callback for process-mode jobs (runs on an executor thread)."""
-        if future.cancelled():
-            # WorkerPool.cancel() / the deadline expirer own the bookkeeping
-            # for this path (the callback fires synchronously inside
-            # future.cancel()).
-            return
-        job_span = self._start_job_span(job)
-        job.worker = "process-pool"
-        finished_here = False
-        try:
-            run_seconds, result = future.result()
-            job.backfill_running(run_seconds)
-            if job.queue_seconds is not None:
-                _QUEUE_WAIT.observe(job.queue_seconds)
-            self.cache.put(job.digest, result)
-            finished_here = job.mark_done(result)
-            # The body ran in another process where this recorder does not
-            # exist; backfill the worker's own measurement.  Inner codec
-            # spans are a documented gap in process mode.
-            job_span.finish(duration=run_seconds)
-        except BrokenProcessPool:
-            # The worker process died mid-job (OOM kill, segfault, kill -9).
-            # Fail the job with a diagnostic instead of hanging the pool, and
-            # rebuild the executor so later submissions still run.
-            finished_here = job.mark_failed(
-                "worker process crashed while running this job "
-                "(BrokenProcessPool); the process pool has been rebuilt"
-            )
-            job_span.finish(error="worker process crashed")
-            self._rebuild_executor()
-        except Exception:
-            finished_here = job.mark_failed(traceback.format_exc())
-            job_span.finish(error=job.error.strip().splitlines()[-1] if job.error else "failed")
-        finally:
-            if finished_here:
-                self._observe_finish(job)
-                self._record_finish(job)
-                self._cleanup(job)
-
     # ------------------------------------------------------------------ #
     # Introspection / shutdown
     # ------------------------------------------------------------------ #
@@ -626,19 +495,17 @@ class WorkerPool:
                 self._dedup_hits,
             )
             cancelled, rejected = self._cancelled, self._rejected
-            expired, broken_rebuilds = self._expired, self._broken_rebuilds
+            expired = self._expired
             inflight = len(self._inflight)
             retry_after = self._retry_after_hint_locked()
         return {
             "workers": self.max_workers,
-            "worker_kind": "process" if self.use_processes else "thread",
             "executed": submitted,
             "cache_hits": cache_hits,
             "dedup_hits": dedup_hits,
             "cancelled": cancelled,
             "rejected": rejected,
             "expired": expired,
-            "broken_rebuilds": broken_rebuilds,
             "max_queued": self.max_queued,
             "inflight": inflight,
             "retry_after_hint": retry_after,

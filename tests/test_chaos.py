@@ -29,6 +29,7 @@ from repro.chaos import (
     maybe_fail,
 )
 from repro.obs.metrics import get_metrics
+from repro.service import JobState, WorkerPool, build_default_registry
 from repro.service.client import ServiceClient
 
 
@@ -171,6 +172,22 @@ class TestMaybeFail:
             maybe_fail("p")
         assert counter.value(point="p", mode="error") == before + 1
         assert get_plan().stats()["fired"] == 1
+
+
+class TestWorkerPoolInjection:
+    def test_worker_run_rule_fails_one_pool_job(self):
+        install_plan(FaultPlan.from_spec(
+            [{"point": "worker.run", "exception": "ConnectionResetError", "count": 1}]
+        ))
+        params = {"rows": 8, "cols": 64}
+        with WorkerPool(build_default_registry(), max_workers=1) as pool:
+            failed = pool.run("prune_tensor", params, timeout=60)
+            assert failed.state is JobState.FAILED
+            assert "ConnectionResetError" in failed.error
+            # The rule is spent and a failure is not cached: the same job reruns.
+            again = pool.run("prune_tensor", params, timeout=60)
+            assert again.state is JobState.DONE, again.error
+            assert not again.cache_hit
 
 
 # --------------------------------------------------------------------------- #

@@ -88,12 +88,14 @@ class TestSpans:
         assert span.parent_id == parent.span_id
         span.finish()
 
-    def test_finish_is_idempotent_and_duration_overridable(self):
+    def test_finish_is_idempotent(self):
         span = obs_trace.start_span("once")
-        span.finish(duration=42.0)
+        span.finish()
+        duration = span.duration
         span.finish(error="ignored: already finished")
-        assert span.duration == 42.0
+        assert span.duration == duration
         assert span.status == "ok"
+        assert span.error is None
 
     def test_recorder_sees_finished_spans(self):
         with obs_trace.span("recorded", attrs={"k": "v"}) as span:

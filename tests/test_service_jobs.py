@@ -223,6 +223,16 @@ class TestBackpressure:
         with pytest.raises(ValueError, match="max_queued"):
             WorkerPool(registry, cache=ResultCache(), max_queued=0)
 
+    @pytest.mark.parametrize(
+        "flag, parameter", [("--workers", "max_workers"), ("--max-queued", "max_queued")]
+    )
+    def test_serve_cli_reports_a_bad_pool_size(self, flag, parameter, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--port", "0", flag, "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {parameter} must be >= 1")
+
 
 class TestJobStoreBounds:
     def test_finished_history_is_bounded(self, registry):
