@@ -454,7 +454,9 @@ class WorkerPool:
             self.cache.put(job.digest, result)
             finished_here = job.mark_done(result)
             job_span.finish()
-        except Exception:
+        except BaseException:
+            # BaseException too: a body that calls sys.exit() kills only its
+            # job, never leaves it RUNNING with its digest stuck in flight.
             finished_here = job.mark_failed(traceback.format_exc())
             job_span.finish(error=job.error.strip().splitlines()[-1] if job.error else "failed")
         finally:

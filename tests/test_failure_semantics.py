@@ -423,6 +423,44 @@ class TestJitteredPolling:
 
 
 # --------------------------------------------------------------------------- #
+# Job bodies that kill their worker thread
+# --------------------------------------------------------------------------- #
+
+
+def exiting_registry():
+    """echo plus a job whose body raises SystemExit on its worker thread."""
+    registry = ScenarioRegistry()
+    registry.add("echo", "echo the params", lambda value=0: {"value": value},
+                 {"value": 0})
+    registry.add("exits", "calls sys.exit", lambda value=0: sys.exit(value),
+                 {"value": 3})
+    return registry
+
+
+class TestDeadWorker:
+    def test_dead_worker_fails_the_job_and_pool_recovers(self):
+        with WorkerPool(exiting_registry(), max_workers=1) as pool:
+            job = pool.submit("exits")
+            assert job.wait(30)
+            assert job.state is JobState.FAILED
+            assert "SystemExit" in job.error
+            assert pool.stats()["inflight"] == 0
+
+            # The pool's one worker still executes jobs.
+            again = pool.run("echo", {"value": 1}, timeout=30)
+            assert again.state is JobState.DONE
+            assert again.result == {"value": 1}
+
+    def test_resubmitting_a_dead_job_runs_it_again(self):
+        with WorkerPool(exiting_registry(), max_workers=1) as pool:
+            first = pool.run("exits", timeout=30)
+            second = pool.run("exits", timeout=30)
+            assert second is not first
+            assert second.state is JobState.FAILED
+            assert pool.stats()["executed"] == 2
+
+
+# --------------------------------------------------------------------------- #
 # Graceful shutdown
 # --------------------------------------------------------------------------- #
 
