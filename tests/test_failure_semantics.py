@@ -423,7 +423,7 @@ class TestJitteredPolling:
 
 
 # --------------------------------------------------------------------------- #
-# Job bodies that kill their worker thread
+# Job bodies that call sys.exit() on their worker thread
 # --------------------------------------------------------------------------- #
 
 
