@@ -296,7 +296,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--poll-interval",
         type=float,
         default=0.1,
-        help="seconds between remote status sweeps",
+        help="seconds of the first idle back-off sleep, taken when a status "
+        "sweep finished nothing and the endpoint answered without waiting; "
+        "it grows 1.5x per idle sweep to 1 s",
     )
     _add_ingest_flag(campaign_dispatch)
 

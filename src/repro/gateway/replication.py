@@ -5,14 +5,20 @@ Every node that registers streams its journal appends to the gateway
 submit line at proxy time for every job it routes.  The double write is the
 point: a node SIGKILLed before its shipper flushed still leaves the gateway
 holding a submit record for everything the gateway routed to it, which is
-exactly the set failover must replay.  Duplicate submit lines for the same
-job id are harmless — the fold keeps one submit and any finish per job.
+exactly the set failover must replay.
 
 Lines use the service journal's checksummed format verbatim
-(:func:`repro.service.journal.checksummed_line`), so one verifier covers the
-primary journal, the replicas, and anything that replays them; a line that
-fails verification is rejected at ingest (counted in
-``repro_gateway_replicated_lines_total{outcome="rejected"}``), never written.
+(:func:`repro.service.journal.checksummed_line`), and replicas are read
+with the journal's own reader and fold
+(:func:`repro.service.journal.read_records`, :func:`~repro.service.journal.fold_jobs`).
+Duplicate submit lines for a job (same id, same digest) are harmless: the
+fold keeps the first, carries over a ``gateway_id``, and keeps any finish.
+A submit with the same id but a different digest is a new job — a node
+without a journal restarts its ids — and replaces the old entry, so
+failover replays it.  A streamed line that fails verification is rejected
+at ingest (counted in
+``repro_gateway_replicated_lines_total{outcome="rejected"}``), never
+written; a bad line found on read is skipped.
 
 Replicas live under ``<state>/replicas/<node_id>/journal.jsonl``.  Node ids
 were validated path-safe at registration, but the store re-checks before
@@ -28,14 +34,13 @@ the handles: one node's when the gateway fails it over, all at shutdown.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
-from ..service.journal import checksummed_line, verify_checksum
+from ..service.journal import checksummed_line, fold_jobs, parse_line, read_records
 from ..obs.metrics import get_metrics
 
 __all__ = ["ReplicaStore"]
@@ -43,9 +48,6 @@ __all__ = ["ReplicaStore"]
 _NODE_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 _OBS_LINES = get_metrics().get("repro_gateway_replicated_lines_total")
-
-#: Finish events, mirroring the service journal's terminal states.
-_FINISH_EVENTS = ("done", "failed", "cancelled")
 
 
 class ReplicaStore:
@@ -107,15 +109,8 @@ class ReplicaStore:
         rejected = 0
         for raw in lines:
             line = raw.strip() if isinstance(raw, str) else ""
-            record: Any = None
-            if line:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    record = None
-            # verify_checksum pops crc32 — hand it a copy, keep the raw line.
-            if isinstance(record, dict) and verify_checksum(dict(record)):
-                accepted.append(line)
+            if parse_line(line)[0] is not None:
+                accepted.append(line)  # the raw line, crc32 and all
             else:
                 rejected += 1
         if accepted:
@@ -142,97 +137,30 @@ class ReplicaStore:
     # Reading
     # ------------------------------------------------------------------ #
 
-    def _records(self, node_id: str) -> Iterator[dict]:
-        """Stream a replica's verified records, oldest first.
+    def _read(self, node_id: str) -> Iterator[dict]:
+        """Stream a replica's verified records, skipping bad lines.
 
-        The file size is read under the lock; every byte below it belongs to
-        a whole, flushed line, so the lines are then read one at a time
-        without holding the lock (routed submits keep appending meanwhile)
-        and without loading the whole replica.
+        The size is read under the write lock, so the stream holds only
+        whole, flushed lines and is parsed without the lock.  Nothing is
+        quarantined: :meth:`job_view` re-reads the replica on every
+        synthetic poll.
         """
         path = self._journal_path(node_id)
         with self._lock:
-            try:
-                size = path.stat().st_size
-            except FileNotFoundError:
-                return
-        with path.open("rb") as handle:
-            for raw in handle:
-                size -= len(raw)
-                if size < 0:
-                    return  # appended after the snapshot (or a torn tail)
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                # Verified at ingest; re-verified here so a corrupted replica
-                # file (torn tail after a gateway crash) degrades to skipping
-                # the bad line, mirroring the primary journal's behaviour.
-                if isinstance(record, dict) and verify_checksum(record):
-                    yield record
-
-    def _fold(
-        self, node_id: str, job_id: str | None = None, keep_finished: bool = True
-    ) -> dict[str, Any]:
-        """Per-job ``{"submit": ..., "finish": ...}`` in first-seen order.
-
-        ``job_id`` folds that one job only.  With ``keep_finished=False`` a
-        finished job's entry shrinks to ``None``, so the fold holds only
-        unfinished work however long the replica is.
-        """
-        merged: dict[str, Any] = {}
-        for record in self._records(node_id):
-            rid = record.get("job_id")
-            event = record.get("event")
-            if not isinstance(rid, str) or (job_id is not None and rid != job_id):
-                continue
-            entry = merged.get(rid)
-            if rid in merged and entry is None:
-                continue  # finished, and dropped
-            if event == "submit":
-                if entry is None:
-                    merged[rid] = {"submit": record, "finish": None}
-                elif entry["submit"] is None:
-                    entry["submit"] = record
-                else:
-                    # Duplicate submit (gateway-authored + node-streamed):
-                    # keep the first, but carry over a gateway_id so chained
-                    # failover can recover the original gateway job id
-                    # whichever line won the fold.
-                    kept = entry["submit"]
-                    if "gateway_id" not in kept and "gateway_id" in record:
-                        entry["submit"] = {**kept, "gateway_id": record["gateway_id"]}
-            elif event in _FINISH_EVENTS:
-                if not keep_finished:
-                    merged[rid] = None
-                elif entry is None:
-                    merged[rid] = {"submit": None, "finish": record}
-                else:
-                    entry["finish"] = record
-        return merged
+            return read_records(path)
 
     def merged(self, node_id: str) -> tuple[list[str], dict[str, dict]]:
-        """Fold a replica into per-job ``{"submit": ..., "finish": ...}``.
-
-        Unlike the primary journal's fold, a duplicate submit never clears
-        an already-recorded finish: the gateway's proxy-time submit line and
-        the node's own streamed submit line arrive independently, and the
-        job is finished once either stream says so.
-        """
-        merged = self._fold(node_id)
-        return list(merged), merged
+        """Fold a replica into per-job ``{"submit": ..., "finish": ...}``
+        with the journal's one fold (:func:`repro.service.journal.fold_jobs`)."""
+        jobs = fold_jobs(self._read(node_id))
+        return list(jobs), jobs
 
     def unfinished(self, node_id: str) -> list[dict]:
         """Submit records with no finish line — the set failover replays."""
-        return [
-            entry["submit"]
-            for entry in self._fold(node_id, keep_finished=False).values()
-            if entry is not None and isinstance(entry["submit"], dict)
-        ]
+        jobs = fold_jobs(self._read(node_id), keep_finished=False)
+        return [entry["submit"] for entry in jobs.values() if entry["finish"] is None]
 
     def job_view(self, node_id: str, job_id: str) -> dict | None:
         """The replica's view of one job (``{"submit", "finish"}``) or None."""
-        return self._fold(node_id, job_id=job_id).get(job_id)
+        records = (r for r in self._read(node_id) if r.get("job_id") == job_id)
+        return fold_jobs(records).get(job_id)

@@ -705,14 +705,10 @@ class ServiceClient:
             "GET", f"/v1/results/{urllib.parse.quote(digest, safe='')}"
         )
 
-    # ------------------------------------------------------------------ #
-    # Pre-submit validation
-    # ------------------------------------------------------------------ #
-
     def scenario_defaults(self, refresh: bool = False) -> dict[str, dict]:
         """``{scenario: canonical default params}`` from ``GET /v1/scenarios``.
 
-        Cached per client (one fetch validates a whole campaign's cells);
+        Cached per client (one fetch serves every submit reconciliation);
         ``refresh=True`` re-fetches.
         """
         if self._scenario_defaults is None or refresh:
@@ -721,26 +717,6 @@ class ServiceClient:
                 for entry in self.scenarios()
             }
         return self._scenario_defaults
-
-    def validate_job(self, job_type: str, params: dict | None = None) -> None:
-        """Check a submission against the node's registry without running it.
-
-        Raises ``ValueError`` if the node does not know ``job_type`` or the
-        parameter names — the same rejections the server would answer with a
-        400/failed job, caught before anything is enqueued.
-        """
-        defaults = self.scenario_defaults()
-        if job_type not in defaults:
-            raise ValueError(
-                f"{self.base_url}: unknown scenario {job_type!r}; "
-                f"available: {sorted(defaults)}"
-            )
-        unknown = sorted(set(params or {}) - set(defaults[job_type]))
-        if unknown:
-            raise ValueError(
-                f"{self.base_url}: unknown parameter(s) {unknown} for scenario "
-                f"{job_type!r}; accepted: {sorted(defaults[job_type])}"
-            )
 
     # ------------------------------------------------------------------ #
     # Conveniences

@@ -7,11 +7,19 @@ payload, so replay can tell a record that was *written wrong* (bit rot, a
 partially overwritten block, manual editing) from one that was merely torn
 by a crash.
 
+Every read of a journal — node replay and compaction here, the gateway's
+replica journals, warehouse ingest of a node directory — goes through one
+streaming reader, :func:`read_records`, and one fold, :func:`fold_jobs`,
+with one rule for a repeated job id: the same digest is a duplicate submit,
+a different digest a new job reusing the id.
+
 Corruption never aborts a replay.  Bad lines — mid-file garbage, a truncated
-final record, a checksum mismatch, a non-object — are **quarantined**:
+final record, a checksum mismatch, a non-object — are **quarantined** by the
+node's own journal:
 appended verbatim to ``journal.quarantine.jsonl`` beside the journal with the
-reason and offset, counted in ``repro_journal_quarantined_total{reason}``,
-and skipped.  Everything parseable replays:
+reason and byte offset, counted in ``repro_journal_quarantined_total{reason}``,
+and skipped.  (Replica and warehouse reads skip them without a record.)
+Everything parseable replays:
 
 * ``done`` jobs reappear as DONE under their historical ids, their results
   served from the (persistent) result cache — nothing is recomputed;
@@ -41,7 +49,7 @@ import os
 import threading
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from ..chaos.plan import maybe_fail
 from ..obs.metrics import get_metrics
@@ -50,7 +58,10 @@ from .jobs import Job, JobState
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .workers import WorkerPool
 
-__all__ = ["JobJournal", "checksummed_line", "verify_checksum"]
+__all__ = [
+    "JobJournal", "checksummed_line", "fold_jobs", "parse_line", "read_records",
+    "verify_checksum",
+]
 
 _OBS_APPENDS = get_metrics().get("repro_journal_appends_total")
 _OBS_WRITE_ERRORS = get_metrics().get("repro_journal_write_errors_total")
@@ -100,6 +111,109 @@ def verify_checksum(record: dict) -> bool:
     claimed = record.pop("crc32")
     payload = json.dumps(record, sort_keys=True, allow_nan=False)
     return claimed == (zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF)
+
+
+def parse_line(line: str | bytes) -> tuple[dict | None, str | None]:
+    """Parse and verify one stripped journal line.
+
+    Returns ``(record, None)`` with the ``crc32`` field popped, or
+    ``(None, reason)`` with reason ``unparseable``, ``not_object`` or
+    ``checksum_mismatch``.
+    """
+    try:
+        record = json.loads(line)
+    except ValueError:  # JSONDecodeError, or bytes that are not UTF-8
+        return None, "unparseable"
+    if not isinstance(record, dict):
+        return None, "not_object"
+    if not verify_checksum(record):
+        return None, "checksum_mismatch"
+    return record, None
+
+
+def read_records(
+    path: str | os.PathLike, on_bad: Callable[[str, int, str], None] | None = None
+) -> Iterator[dict]:
+    """Stream a journal's intact records, oldest first.
+
+    The file size is read when this is called and only the lines below it
+    are streamed, one at a time: a writer that appends whole, flushed lines
+    under a lock lets a reader take the size under that lock and parse
+    without it.  A bad line is passed to ``on_bad(line, byte_offset,
+    reason)`` — the :func:`parse_line` reasons, or ``truncated`` for an
+    unparseable final line with no newline (the only corruption a crash
+    can cause) — and skipped.  A missing file yields nothing.
+    """
+    try:
+        size = os.stat(path).st_size
+    except FileNotFoundError:
+        return iter(())
+    return _stream_records(Path(path), size, on_bad)
+
+
+def _stream_records(
+    path: Path, size: int, on_bad: Callable[[str, int, str], None] | None
+) -> Iterator[dict]:
+    offset = 0
+    with path.open("rb") as handle:
+        for raw in handle:
+            if offset + len(raw) > size:
+                return  # appended after the size was read
+            line = raw.strip()
+            if line:
+                record, reason = parse_line(line)
+                if record is not None:
+                    yield record
+                elif on_bad is not None:
+                    if not raw.endswith(b"\n") and reason == "unparseable":
+                        reason = "truncated"
+                    on_bad(line.decode("utf-8", "replace"), offset, reason)
+            offset += len(raw)
+
+
+def fold_jobs(records: Iterable[dict], keep_finished: bool = True) -> dict[str, dict]:
+    """Fold records into ``{job_id: {"submit": ..., "finish": ...}}``.
+
+    Entries are in first-seen order.  A ``submit`` whose digest matches the
+    entry's (its submit's, else its finish's) is a duplicate — the gateway
+    and the node each write one per routed job: the first submit is kept, a
+    ``gateway_id`` carried over, the finish line kept.  A ``submit`` with a
+    different digest is a new job reusing the id (a node without a journal
+    restarts its ids) and replaces the entry.  A finish line with no submit
+    before it makes a finish-only entry (``"submit": None``).
+
+    ``keep_finished=False`` shrinks a finished entry to its digest
+    (``{"submit": None, "finish": {"digest": ...}}``), so the fold holds
+    only unfinished work however long the journal is.
+    """
+    jobs: dict[str, dict] = {}
+    for record in records:
+        job_id = record.get("job_id")
+        if not isinstance(job_id, str):
+            continue
+        event = record.get("event")
+        entry = jobs.get(job_id)
+        if event == "submit":
+            if entry is None or _digest(entry) != record.get("digest"):
+                jobs[job_id] = {"submit": record, "finish": None}
+            elif entry["submit"] is None:
+                if keep_finished:  # a shrunk entry stays shrunk
+                    entry["submit"] = record
+            elif "gateway_id" in record and "gateway_id" not in entry["submit"]:
+                entry["submit"] = {**entry["submit"], "gateway_id": record["gateway_id"]}
+        elif event in _FINISH_EVENTS.values():
+            if not keep_finished:
+                digest = record.get("digest") if entry is None else _digest(entry)
+                jobs[job_id] = {"submit": None, "finish": {"digest": digest}}
+            elif entry is None:
+                jobs[job_id] = {"submit": None, "finish": record}
+            else:
+                entry["finish"] = record
+    return jobs
+
+
+def _digest(entry: dict) -> Any:
+    return (entry["submit"] or entry["finish"]).get("digest")
 
 
 class JobJournal:
@@ -221,68 +335,31 @@ class JobJournal:
             pass
 
     def records(self) -> Iterator[dict]:
-        """Yield every intact event line, oldest first, quarantining the rest.
-
-        Three corruption classes are told apart for the quarantine record:
-        a truncated final line (the only corruption a crash can cause),
-        mid-file garbage (unparseable or a non-object), and a parseable
-        record whose ``crc32`` does not match its payload.
-        """
-        if not self.path.exists():
-            return
-        with self.path.open(encoding="utf-8") as handle:
-            lines = handle.readlines()
-        last_index = len(lines) - 1
-        for index, raw in enumerate(lines):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                truncated = index == last_index and not raw.endswith("\n")
-                self._quarantine(
-                    line, index, "truncated" if truncated else "unparseable"
-                )
-                continue
-            if not isinstance(record, dict):
-                self._quarantine(line, index, "not_object")
-                continue
-            if not verify_checksum(record):  # pops the crc32 field
-                self._quarantine(line, index, "checksum_mismatch")
-                continue
-            yield record
+        """Yield every intact event line, oldest first, quarantining the rest
+        (see :func:`read_records` for the corruption classes)."""
+        return read_records(self.path, on_bad=self._quarantine)
 
     # ------------------------------------------------------------------ #
     # Replay
     # ------------------------------------------------------------------ #
 
-    def _merged_jobs(self) -> tuple[list[str], dict[str, dict]]:
-        """Fold the journal into per-job state, in first-submission order."""
-        merged: dict[str, dict] = {}
-        order: list[str] = []
-        for record in self.records():
-            job_id = record.get("job_id")
-            event = record.get("event")
-            if not isinstance(job_id, str):
-                continue
-            if event == "submit":
-                if job_id not in merged:
-                    order.append(job_id)
-                merged[job_id] = {"submit": record, "finish": None}
-            elif event in ("done", "failed", "cancelled") and job_id in merged:
-                merged[job_id]["finish"] = record
-        return order, merged
+    def _jobs(self) -> dict[str, dict]:
+        """The folded journal, without finish lines that have no submit."""
+        return {
+            job_id: entry
+            for job_id, entry in fold_jobs(self.records()).items()
+            if entry["submit"] is not None
+        }
 
     def replay(self, pool: "WorkerPool") -> dict:
         """Rebuild the journaled jobs inside ``pool``; return replay stats."""
-        order, merged = self._merged_jobs()
+        jobs = self._jobs()
         stats = {"replayed": 0, "completed": 0, "failed": 0,
                  "cancelled": 0, "requeued": 0, "skipped": 0,
                  "quarantined": self.quarantined}
-        for job_id in order:
-            submit = merged[job_id]["submit"]
-            finish = merged[job_id]["finish"] or {}
+        for job_id, entry in jobs.items():
+            submit = entry["submit"]
+            finish = entry["finish"] or {}
             if (
                 not isinstance(submit.get("type"), str)
                 or not isinstance(submit.get("params"), dict)
@@ -291,7 +368,7 @@ class JobJournal:
                 stats["skipped"] += 1
                 continue
             state = None
-            if finish.get("event") in ("done", "failed", "cancelled"):
+            if finish.get("event") in _FINISH_EVENTS.values():
                 state = JobState(finish["event"])
             trace_id = submit.get("trace_id")
             deadline = submit.get("deadline_s")
@@ -336,24 +413,18 @@ class JobJournal:
             raise ValueError("keep_finished must be >= 0")
         with self._lock:
             before_bytes = self.path.stat().st_size if self.path.exists() else 0
-            order, merged = self._merged_jobs()
-            finished_ids = [jid for jid in order if merged[jid]["finish"] is not None]
+            jobs = self._jobs()
+            finished_ids = [jid for jid, entry in jobs.items() if entry["finish"] is not None]
             dropped = set(finished_ids[: max(len(finished_ids) - keep_finished, 0)])
-            kept_jobs = 0
             tmp_path = self.path.with_suffix(".jsonl.tmp")
             with tmp_path.open("w", encoding="utf-8") as handle:
-                for job_id in order:
+                for job_id, entry in jobs.items():
                     if job_id in dropped:
                         continue
-                    kept_jobs += 1
-                    submit = dict(merged[job_id]["submit"])
-                    submit.pop("crc32", None)
-                    handle.write(checksummed_line(submit) + "\n")
-                    finish = merged[job_id]["finish"]
-                    if finish is not None:
-                        finish = dict(finish)
-                        finish.pop("crc32", None)
-                        handle.write(checksummed_line(finish) + "\n")
+                    # Records come out of the reader with crc32 popped.
+                    handle.write(checksummed_line(entry["submit"]) + "\n")
+                    if entry["finish"] is not None:
+                        handle.write(checksummed_line(entry["finish"]) + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
             self._handle.close()
@@ -361,8 +432,8 @@ class JobJournal:
             self._handle = self.path.open("a", encoding="utf-8")
             after_bytes = self.path.stat().st_size
         return {
-            "jobs": len(order),
-            "kept_jobs": kept_jobs,
+            "jobs": len(jobs),
+            "kept_jobs": len(jobs) - len(dropped),
             "dropped_finished": len(dropped),
             "quarantined": self.quarantined,
             "bytes_before": before_bytes,

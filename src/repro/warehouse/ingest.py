@@ -12,7 +12,9 @@ stack already stamps on every result:
 * **Service node directory** — a ``repro serve --journal DIR`` directory:
   the journal's ``submit`` lines provide scenario/params/digest and the
   persistent cache under ``DIR/cache`` provides the payloads, so results
-  born from ad-hoc service traffic are queryable too.
+  born from ad-hoc service traffic are queryable too.  The journal is read
+  with :func:`repro.service.journal.read_records`: lines that fail their
+  checksum are skipped, never ingested.
 
 Ingest is **idempotent by digest**: a cell whose digest is already present
 is counted as a duplicate and skipped, so re-running ingest (or ingesting
@@ -247,24 +249,20 @@ def _ingest_journal_dir(conn: sqlite3.Connection, directory: Path) -> IngestStat
     The journal's ``submit`` lines carry each job's scenario, params, and
     digest; the persistent cache holds the payload under
     ``cache/<digest>.json``.  Only digests with a cached payload ingest
-    (an unfinished or uncached job has no result to warehouse); corrupt
-    journal lines are simply skipped — the journal's own replay machinery
+    (an unfinished or uncached job has no result to warehouse).  The
+    journal is read with the service's own reader, so a line that fails its
+    checksum is skipped like any other corrupt line — the node's replay
     owns quarantine.
     """
+    # Deferred: importing the service stack would slow every warehouse query.
+    from ..service.journal import read_records
+
     journal_path = directory / "journal.jsonl"
     cache_dir = directory / "cache"
     stats = IngestStats(sources=1)
     submissions: dict[str, tuple[str, dict]] = {}
-    try:
-        lines = journal_path.read_text(encoding="utf-8").splitlines()
-    except OSError:
-        lines = []
-    for line in lines:
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(record, dict) or record.get("event") != "submit":
+    for record in read_records(journal_path):
+        if record.get("event") != "submit":
             continue
         digest, scenario, params = (
             record.get("digest"), record.get("type"), record.get("params")

@@ -570,21 +570,11 @@ class TestVersionedHTTPAPI:
         (job,) = expand_spec(spec, registry=build_default_registry()).jobs
         assert one["digest"] == job.digest
 
-    def test_client_validates_specs_before_submit(self, base):
-        from repro.service.client import ServiceClient
-
-        client = ServiceClient(base, retries=0)
-        client.validate_job("codec_compress", {"codec": "ptq", "rows": 8})
-        with pytest.raises(ValueError, match="unknown scenario"):
-            client.validate_job("no_such_scenario")
-        with pytest.raises(ValueError, match="unknown parameter"):
-            client.validate_job("codec_compress", {"typo": 1})
-        assert client.codecs()  # /v1/codecs through the client
-
     def test_client_compress_convenience(self, base):
         from repro.service.client import ServiceClient
 
         client = ServiceClient(base, retries=0)
+        assert client.codecs()  # /v1/codecs through the client
         record = client.compress("ptq", params={"bits": 6}, rows=16, cols=64, wait=120)
         assert record["state"] == "done"
         assert record["result"]["codec"] == "ptq"

@@ -291,6 +291,34 @@ class TestReplicaStore:
         )
         assert store.unfinished("node-a") == []
 
+    def test_reused_job_id_with_new_digest_is_a_new_job(self, tmp_path):
+        # A node without a journal restarts its ids at job-000001 and keeps
+        # its node id, so a finished old job and a new one share a replica
+        # and an id; only the digest tells them apart.
+        store = ReplicaStore(tmp_path)
+        store.append_lines(
+            "node-a",
+            [
+                checksummed_line({"event": "submit", "job_id": "job-000001",
+                                  "type": "t", "params": {"x": 1}, "digest": "A"}),
+                checksummed_line({"event": "done", "job_id": "job-000001", "digest": "A"}),
+            ],
+        )
+        store.record_submit(
+            "node-a", job_id="job-000001", type="t", params={"x": 2}, digest="B",
+            gateway_id="g2",
+        )
+        (record,) = store.unfinished("node-a")
+        assert record["digest"] == "B" and record["params"] == {"x": 2}
+        view = store.job_view("node-a", "job-000001")
+        assert view["submit"]["digest"] == "B" and view["finish"] is None
+        # A duplicate of the new job's submit keeps it unfinished.
+        store.append_lines(
+            "node-a",
+            [checksummed_line({"event": "submit", "job_id": "job-000001", "digest": "B"})],
+        )
+        assert [r["gateway_id"] for r in store.unfinished("node-a")] == ["g2"]
+
     def test_unfinished_lists_submits_without_finish(self, tmp_path):
         store = ReplicaStore(tmp_path)
         store.record_submit("node-a", job_id="j1", type="t", params={"x": 1}, digest="d1")

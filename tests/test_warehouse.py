@@ -16,6 +16,7 @@ import pytest
 
 from repro import warehouse
 from repro.campaign import CampaignRunner, parse_spec
+from repro.service.journal import checksummed_line
 
 #: Four fast deterministic codec cells with rich metric payloads.
 SPEC = {
@@ -165,6 +166,27 @@ class TestIngest:
         row = conn.execute("SELECT * FROM cells").fetchone()
         assert row["digest"] == "aaa"
         assert conn.execute("SELECT * FROM runs").fetchone()["source"] == "service"
+
+    def test_journal_dir_skips_lines_failing_their_checksum(self, conn, tmp_path):
+        node = tmp_path / "node"
+        (node / "cache").mkdir(parents=True)
+        intact = checksummed_line(
+            {"event": "submit", "job_id": "job-1", "type": "quantize_tensor",
+             "params": {"rows": 8, "seed": 0}, "digest": "aaa"}
+        )
+        # Edited after its crc32 was computed: the params no longer match
+        # the digest, so the line must not be warehoused under it.
+        tampered = checksummed_line(
+            {"event": "submit", "job_id": "job-2", "type": "quantize_tensor",
+             "params": {"rows": 8, "seed": 1}, "digest": "bbb"}
+        ).replace('"seed": 1', '"seed": 7')
+        (node / "journal.jsonl").write_text(intact + "\n" + tampered + "\n")
+        for digest in ("aaa", "bbb"):
+            (node / "cache" / f"{digest}.json").write_text(json.dumps({"mse": 0.5}))
+        stats = warehouse.ingest_path(conn, node)
+        assert stats.inserted == 1
+        digests = [row["digest"] for row in conn.execute("SELECT digest FROM cells")]
+        assert digests == ["aaa"]
 
     def test_unrecognized_path_raises(self, conn, tmp_path):
         empty = tmp_path / "empty"
